@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Long-running differential soak: solver vs brute force vs state oracle.
 
-Heavier than `pairdom verify`: every instance is also checked state by
-state after each block merge, so a disagreement pinpoints the exact
-merge and case that produced it.
+Heavier than `pairdom verify`: every instance is also swept from two
+roots, its first and its last vertex, and each vertex's four state
+weights are checked against the brute-force state oracle on the subgraph
+below that vertex, so a disagreement names the root, vertex and state
+where it starts.
 
 Usage:
   python3 scripts/soak_verify.py --instances 2000
@@ -12,38 +14,51 @@ Usage:
 import argparse
 import sys
 
-from pairdom import (StateKind, is_paired_dominating_set, oracle_min_pds,
-                     oracle_state, random_block_graph, solve_detailed)
+from pairdom import (StateKind, build_graph, is_paired_dominating_set,
+                     oracle_min_pds, oracle_state, random_block_graph, solve)
+from pairdom.arraydp import TreePlan
+from pairdom.rooted import root_blocks
 
 FAMILIES = [(4, 3), (3, 3), (2, 4), (8, 2), (9, 2), (5, 2), (2, 3), (6, 2)]
+
+
+def state_problems(g, root: int) -> list:
+    """Vertex states of the sweep from ``root`` that differ from the oracle
+    on the subgraph below the vertex (it and its descendants)."""
+    rb = root_blocks(g, root)
+    val = TreePlan(rb).sweep(g.weights)
+    children = [[] for _ in range(g.n)]
+    for v in rb.order[1:].tolist():
+        children[rb.parent[v]].append(v)
+    problems = []
+    for v in range(g.n):
+        below = [v]
+        for u in below:             # grows as it goes: v's whole subtree
+            below.extend(children[u])
+        index = {u: i for i, u in enumerate(below)}
+        edges = [(i, index[x]) for i, u in enumerate(below)
+                 for x in g.neighbors(u).tolist() if index.get(x, -1) > i]
+        sub = build_graph(len(below), g.weights[below], edges)
+        for kind in StateKind:
+            expect = oracle_state(sub, 0, kind)
+            if expect != val[kind, v]:
+                problems.append(f"root {root}, vertex {v}, state {kind.name}: "
+                                f"stored {int(val[kind, v])}, oracle {expect}")
+    return problems
 
 
 def check_instance(seed: int) -> list:
     nb, ms = FAMILIES[seed % len(FAMILIES)]
     g = random_block_graph(nb, ms, 100, seed=seed)
-    res = solve_detailed(g)
+    vset, weight = solve(g)
     problems = []
     ref = oracle_min_pds(g)
-    if ref is None or ref[1] != res.weight:
-        problems.append(f"weight {res.weight} != oracle {ref and ref[1]}")
-    if not is_paired_dominating_set(g, res.set):
+    if ref is None or ref[1] != weight:
+        problems.append(f"weight {weight} != oracle {ref and ref[1]}")
+    if not is_paired_dominating_set(g, vset):
         problems.append("output is not a paired-dominating set")
-    hset = {v: {v} for v in range(g.n)}
-    for ev in res.events:
-        H = set(hset[ev.root])
-        for c in ev.children:
-            H |= hset[c]
-        for v in res.bct.block_vertices(ev.block_id):
-            H.add(int(v))
-        hset[ev.root] = H
-        sub, index = g.induced(sorted(H))
-        for state in StateKind:
-            expect = oracle_state(sub, index[ev.root], state)
-            if expect != ev.weights[int(state)]:
-                problems.append(
-                    f"event {ev.index} state {state.name}: stored "
-                    f"{ev.weights[int(state)]}, oracle {expect} "
-                    f"(q1 case {ev.q1_case}, q2 case {ev.q2_case})")
+    for root in (0, g.n - 1):
+        problems += state_problems(g, root)
     return problems
 
 

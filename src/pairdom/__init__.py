@@ -7,7 +7,7 @@ the block-cut tree, in time linear in the graph size.
 """
 
 from .blocks import (Block, BlockCutTree, find_blocks, first_non_clique_block,
-                     is_block_graph, pendant_elimination_order, to_dot)
+                     is_block_graph, to_dot)
 from .errors import (Disconnected, DuplicateEdge, InternalInconsistency,
                      NoPairedDominatingSet, NotBlockGraph, OutOfRange,
                      PairdomError, ParseError, SelfLoop, TooLarge,
@@ -22,16 +22,10 @@ from .instance_io import (format_instance, load_instance, parse_instance,
 from .solver import StateKind, solve
 from .weights import INFEASIBLE, is_feasible
 
-# The per-block trace path (with its scalar kernels) and the brute-force
-# oracle load on first use: solving needs neither, and importing them took
-# about a third of the time of ``import pairdom.cli``.
+# The brute-force oracle loads on first use: solving does not need it, and
+# compiling it would add to every import of the package.
 _LAZY = dict.fromkeys(
-    ("CandidateTag", "ChoiceRecord", "MergeContext", "MergeEvent", "SolveResult",
-     "StateQuad", "build_merge_context", "init_states", "merge_D", "merge_P",
-     "merge_Pbar", "merge_Pprime", "merge_Q1", "merge_Q2", "reconstruct_state",
-     "solve_detailed"), "trace")
-_LAZY.update(dict.fromkeys(
-    ("enumerate_block_graphs", "oracle_min_pds", "oracle_state"), "oracle"))
+    ("enumerate_block_graphs", "oracle_min_pds", "oracle_state"), "oracle")
 
 
 def __getattr__(name):
@@ -45,19 +39,15 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block", "BlockCutTree", "CandidateTag", "ChoiceRecord", "Disconnected",
-    "DuplicateEdge", "GENERATOR_ALGORITHM", "INFEASIBLE",
-    "InternalInconsistency", "MergeContext", "MergeEvent",
+    "Block", "BlockCutTree", "Disconnected", "DuplicateEdge",
+    "GENERATOR_ALGORITHM", "INFEASIBLE", "InternalInconsistency",
     "NoPairedDominatingSet", "NotBlockGraph", "OutOfRange", "PairdomError",
-    "ParseError", "SelfLoop", "SolveResult", "StateKind", "StateQuad",
-    "TooLarge", "VertexSet", "WeightOverflow", "WeightedGraph",
-    "build_graph", "build_merge_context", "chain_of_triangles",
+    "ParseError", "SelfLoop", "StateKind", "TooLarge", "VertexSet",
+    "WeightOverflow", "WeightedGraph", "build_graph", "chain_of_triangles",
     "enumerate_block_graphs", "find_blocks", "first_non_clique_block",
-    "format_instance", "has_perfect_matching", "init_states", "is_block_graph",
+    "format_instance", "has_perfect_matching", "is_block_graph",
     "is_connected", "is_dominating_set", "is_feasible",
-    "is_paired_dominating_set", "load_instance", "merge_D", "merge_P",
-    "merge_Pbar", "merge_Pprime", "merge_Q1", "merge_Q2", "oracle_min_pds",
-    "oracle_state", "parse_instance", "pendant_elimination_order",
-    "random_block_graph", "reconstruct_state", "save_instance", "solve",
-    "solve_detailed", "to_dot",
+    "is_paired_dominating_set", "load_instance", "oracle_min_pds",
+    "oracle_state", "parse_instance", "random_block_graph", "save_instance",
+    "solve", "to_dot",
 ]

@@ -1,205 +1,86 @@
-"""Flat-array kernels for decomposition, the state merges, and reconstruction.
+"""Tarjan's block decomposition and the pendant-block elimination order.
 
-Everything here works on numpy int64 arrays and plain integers so the
-whole solve path can be JIT-compiled with numba.  When numba is not
-importable the same functions run as ordinary Python (correct, just slow
-on very large instances).
-
-Conventions:
-  * state kinds: 0 = D, 1 = P, 2 = P' (paired set avoiding the root),
-    3 = Pbar (paired set leaving the root undominated)
-  * INF marks an infeasible state; additions saturate at INF
-  * "slots" index a block's non-root vertices in block storage order
+These back :func:`pairdom.blocks.find_blocks` and
+:attr:`pairdom.blocks.BlockCutTree.elimination_order`, which serve
+``pairdom decompose``, the oracle's enumerator and the rejection messages
+of :func:`pairdom.solve`; the solve itself decomposes on whole arrays
+(``rooted``).  Both run as plain Python over lists, and ``blocks`` imports
+this module on first use, so importing the package does not compile it.
 """
+
+import heapq
 
 import numpy as np
 
-from .weights import INFEASIBLE as INF
 
-try:
-    from numba import njit as _njit
-
-    def _jit(fn):
-        return _njit(cache=True)(fn)
-
-    NUMBA_ENABLED = True
-except ImportError:      # pragma: no cover - exercised only without numba
-    def _jit(fn):
-        return fn
-
-    NUMBA_ENABLED = False
-
-
-KIND_D, KIND_P, KIND_Q, KIND_R = 0, 1, 2, 3
-
-# candidate tags (ChoiceRecord.tag); the python layer mirrors these in an enum
-TAG_X, TAG_X_PLUS, TAG_X_MINUS = 0, 1, 2
-TAG_Y, TAG_Y_PLUS, TAG_Y_MINUS = 3, 4, 5
-TAG_Z1, TAG_Z1_PLUS, TAG_Z1_MINUS = 6, 7, 8
-TAG_T1, TAG_T2, TAG_T3, TAG_T4, TAG_T5, TAG_T6, TAG_T7, TAG_T8 = 9, 10, 11, 12, 13, 14, 15, 16
-TAG_Z2, TAG_Z2_PLUS, TAG_Z2_MINUS = 17, 18, 19
-TAG_T9, TAG_T10, TAG_T11, TAG_T12 = 20, 21, 22, 23
-TAG_PBAR = 24
-TAG_INIT = 25
-
-
-@_jit
-def _sat(a, b):
-    s = a + b
-    if s >= INF:
-        return INF
-    return s
-
-
-@_jit
-def reach_count(n, indptr, adj, start):
-    """Number of vertices reachable from ``start`` (iterative DFS)."""
-    seen = np.zeros(n, np.uint8)
-    stack = np.empty(n, np.int64)
-    seen[start] = 1
-    stack[0] = start
-    top = 0
-    count = 1
-    while top >= 0:
-        u = stack[top]
-        top -= 1
-        for i in range(indptr[u], indptr[u + 1]):
-            v = adj[i]
-            if seen[v] == 0:
-                seen[v] = 1
-                count += 1
-                top += 1
-                stack[top] = v
-    return count
-
-
-@_jit
 def tarjan_blocks(n, indptr, adj):
-    """Biconnected components by iterative depth-first search.
+    """Biconnected components by iterative depth-first search from vertex 0.
 
     Returns (comp_ptr, comp_verts, comp_edge_counts, is_cut, visited).
     ``visited < n`` signals a disconnected input.  Requires n >= 2.
     """
-    m = adj.shape[0] // 2
-    disc = np.full(n, -1, np.int64)
-    low = np.zeros(n, np.int64)
-    parent = np.full(n, -1, np.int64)
-    ptr = indptr[:n].copy()
-    vstack = np.empty(n, np.int64)
-    cap = m if m > 0 else 1
-    es_u = np.empty(cap, np.int64)
-    es_v = np.empty(cap, np.int64)
-    comp_ptr = np.zeros(n + 1, np.int64)
-    comp_verts = np.empty(2 * cap + 2, np.int64)
-    comp_ecnt = np.zeros(n + 1, np.int64)
-    is_cut = np.zeros(n, np.uint8)
-    seen = np.full(n, -1, np.int64)
-
-    etop = 0
-    ncomp = 0
-    cvpos = 0
+    indptr = indptr.tolist()
+    adj = adj.tolist()
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    ptr = indptr[:n]
+    is_cut = [0] * n
+    edges = []                  # stack of tree and back edges (u, v)
+    comp_ptr = [0]
+    comp_verts = []
+    comp_ecnt = []
     rootpops = 0
     disc[0] = 0
-    low[0] = 0
     timer = 1
-    vstack[0] = 0
-    top = 0
-    while top >= 0:
-        u = vstack[top]
+    stack = [0]
+    while stack:
+        u = stack[-1]
         if ptr[u] < indptr[u + 1]:
             v = adj[ptr[u]]
             ptr[u] += 1
             if disc[v] == -1:
                 parent[v] = u
-                es_u[etop] = u
-                es_v[etop] = v
-                etop += 1
-                disc[v] = timer
-                low[v] = timer
+                edges.append((u, v))
+                disc[v] = low[v] = timer
                 timer += 1
-                top += 1
-                vstack[top] = v
+                stack.append(v)
             elif v != parent[u] and disc[v] < disc[u]:
-                es_u[etop] = u
-                es_v[etop] = v
-                etop += 1
+                edges.append((u, v))
                 if disc[v] < low[u]:
                     low[u] = disc[v]
-        else:
-            top -= 1
-            if top >= 0:
-                w = vstack[top]
-                if low[u] < low[w]:
-                    low[w] = low[u]
-                if low[u] >= disc[w]:
-                    # pop one block, up to and including tree edge (w, u)
-                    ecnt = 0
-                    while True:
-                        eu = es_u[etop - 1]
-                        ev = es_v[etop - 1]
-                        etop -= 1
-                        ecnt += 1
-                        if seen[eu] != ncomp:
-                            seen[eu] = ncomp
-                            comp_verts[cvpos] = eu
-                            cvpos += 1
-                        if seen[ev] != ncomp:
-                            seen[ev] = ncomp
-                            comp_verts[cvpos] = ev
-                            cvpos += 1
-                        if eu == w and ev == u:
-                            break
-                    comp_ecnt[ncomp] = ecnt
-                    ncomp += 1
-                    comp_ptr[ncomp] = cvpos
-                    if parent[w] != -1:
-                        is_cut[w] = 1
-                    else:
-                        rootpops += 1
+            continue
+        stack.pop()
+        if not stack:
+            break
+        w = stack[-1]
+        if low[u] < low[w]:
+            low[w] = low[u]
+        if low[u] >= disc[w]:
+            # pop one block, up to and including tree edge (w, u)
+            seen = set()
+            count = 0
+            while True:
+                e = edges.pop()
+                count += 1
+                for x in e:
+                    if x not in seen:
+                        seen.add(x)
+                        comp_verts.append(x)
+                if e == (w, u):
+                    break
+            comp_ecnt.append(count)
+            comp_ptr.append(len(comp_verts))
+            if parent[w] != -1:
+                is_cut[w] = 1
+            else:
+                rootpops += 1
     if rootpops >= 2:
         is_cut[0] = 1
-    return (comp_ptr[:ncomp + 1], comp_verts[:cvpos], comp_ecnt[:ncomp],
-            is_cut, timer)
+    return (np.array(comp_ptr, dtype=np.int64), np.array(comp_verts, dtype=np.int64),
+            np.array(comp_ecnt, dtype=np.int64), np.array(is_cut, dtype=np.uint8), timer)
 
 
-@_jit
-def _heap_push(heap, size, val):
-    heap[size] = val
-    i = size
-    while i > 0:
-        p = (i - 1) >> 1
-        if heap[p] <= heap[i]:
-            break
-        tmp = heap[p]
-        heap[p] = heap[i]
-        heap[i] = tmp
-        i = p
-    return size + 1
-
-
-@_jit
-def _heap_pop(heap, size):
-    val = heap[0]
-    size -= 1
-    heap[0] = heap[size]
-    i = 0
-    while True:
-        l = 2 * i + 1
-        if l >= size:
-            break
-        c = l
-        if l + 1 < size and heap[l + 1] < heap[l]:
-            c = l + 1
-        if heap[i] <= heap[c]:
-            break
-        tmp = heap[i]
-        heap[i] = heap[c]
-        heap[c] = tmp
-        i = c
-    return val, size
-
-
-@_jit
 def eliminate(nb, block_ptr, block_verts, is_cut, n):
     """Pendant-block elimination order of the block-cut tree.
 
@@ -208,599 +89,45 @@ def eliminate(nb, block_ptr, block_verts, is_cut, n):
     Returns (order, root_of_block, ok) where root_of_block[b] is the cut
     vertex the block hangs from at its removal (-1 for the final block).
     """
-    bdeg = np.zeros(nb, np.int64)
-    cdeg = np.zeros(n, np.int64)
-    for b in range(nb):
-        for i in range(block_ptr[b], block_ptr[b + 1]):
-            v = block_verts[i]
-            if is_cut[v] == 1:
+    ptr = block_ptr.tolist()
+    verts = block_verts.tolist()
+    cut = is_cut.tolist()
+    blocks = [verts[ptr[b]:ptr[b + 1]] for b in range(nb)]
+    bdeg = [0] * nb
+    cdeg = [0] * n
+    cut_blocks = {}
+    for b, vs in enumerate(blocks):
+        for v in vs:
+            if cut[v]:
                 bdeg[b] += 1
                 cdeg[v] += 1
-    cb_ptr = np.zeros(n + 1, np.int64)
-    for v in range(n):
-        cb_ptr[v + 1] = cb_ptr[v] + cdeg[v]
-    fill = cb_ptr[:n].copy()
-    cb_blocks = np.empty(max(cb_ptr[n], 1), np.int64)
-    for b in range(nb):
-        for i in range(block_ptr[b], block_ptr[b + 1]):
-            v = block_verts[i]
-            if is_cut[v] == 1:
-                cb_blocks[fill[v]] = b
-                fill[v] += 1
+                cut_blocks.setdefault(v, []).append(b)
 
-    active_cut = is_cut.copy()
-    removed = np.zeros(nb, np.uint8)
-    pushed = np.zeros(nb, np.uint8)
-    heap = np.empty(nb, np.int64)
-    hsize = 0
-    for b in range(nb):
-        if bdeg[b] <= 1:
-            hsize = _heap_push(heap, hsize, b)
-            pushed[b] = 1
-    order = np.empty(nb, np.int64)
-    root_of = np.full(nb, -1, np.int64)
-    produced = 0
-    while hsize > 0:
-        b, hsize = _heap_pop(heap, hsize)
-        order[produced] = b
-        produced += 1
-        removed[b] = 1
-        for i in range(block_ptr[b], block_ptr[b + 1]):
-            v = block_verts[i]
-            if active_cut[v] == 1:
+    active = list(cut)
+    removed = [False] * nb
+    heap = [b for b in range(nb) if bdeg[b] <= 1]
+    pushed = [d <= 1 for d in bdeg]
+    order = []
+    root_of = [-1] * nb
+    while heap:
+        b = heapq.heappop(heap)
+        order.append(b)
+        removed[b] = True
+        for v in blocks[b]:
+            if active[v]:
                 root_of[b] = v
-        for i in range(block_ptr[b], block_ptr[b + 1]):
-            v = block_verts[i]
-            if is_cut[v] == 1 and cdeg[v] > 0:
+        for v in blocks[b]:
+            if cut[v] and cdeg[v] > 0:
                 cdeg[v] -= 1
-                if cdeg[v] == 1 and active_cut[v] == 1:
+                if cdeg[v] == 1 and active[v]:
                     # absorbed: the one remaining block loses a tree edge
-                    active_cut[v] = 0
-                    for j in range(cb_ptr[v], cb_ptr[v + 1]):
-                        b2 = cb_blocks[j]
-                        if removed[b2] == 0:
+                    active[v] = 0
+                    for b2 in cut_blocks[v]:
+                        if not removed[b2]:
                             bdeg[b2] -= 1
-                            if bdeg[b2] <= 1 and pushed[b2] == 0:
-                                hsize = _heap_push(heap, hsize, b2)
-                                pushed[b2] = 1
+                            if bdeg[b2] <= 1 and not pushed[b2]:
+                                heapq.heappush(heap, b2)
+                                pushed[b2] = True
                             break
-    ok = 1 if produced == nb else 0
-    return order, root_of, ok
-
-
-@_jit
-def build_ctx(cd, cp, cq, cr, kk, kinds_out):
-    """Single pass over the k-1 child quads of a block merge.
-
-    Selects each child's cheapest state (ties prefer D, P, P', Pbar in
-    that order), and collects every selector the merge procedures need:
-    the D-count r, the presence of P / Pbar selections, the two best
-    upgrade-to-D slots (alpha, alpha'), the best downgrade-from-D slot
-    (beta) with its per-target costs, the two best convert-to-P slots
-    (gamma, gamma'), and the total cost of converting every Pbar
-    selection to P'.  Gains stay INF when the target state is infeasible.
-    """
-    base = 0
-    qsum = 0
-    r = 0
-    anyp = 0
-    a1s = -1
-    a1g = INF
-    a2s = -1
-    a2g = INF
-    bs = -1
-    bdown = INF
-    bkind = -1
-    bp = INF
-    bq = INF
-    br = INF
-    g1s = -1
-    g1g = INF
-    g2s = -1
-    g2g = INF
-    icnt = 0
-    idelta = 0
-    for j in range(kk):
-        d = cd[j]
-        p = cp[j]
-        q = cq[j]
-        rp = cr[j]
-        sw = d
-        sk = 0
-        if p < sw:
-            sw = p
-            sk = 1
-        if q < sw:
-            sw = q
-            sk = 2
-        if rp < sw:
-            sw = rp
-            sk = 3
-        kinds_out[j] = sk
-        base = _sat(base, sw)
-        qsum = _sat(qsum, q)
-        if sk == 0:
-            r += 1
-            dw = p
-            dk = 1
-            if q < dw:
-                dw = q
-                dk = 2
-            if rp < dw:
-                dw = rp
-                dk = 3
-            down = INF if dw >= INF else dw - sw
-            if bs == -1 or down < bdown:
-                bs = j
-                bdown = down
-                bkind = dk
-                bp = INF if p >= INF else p - sw
-                bq = INF if q >= INF else q - sw
-                br = INF if rp >= INF else rp - sw
-        else:
-            g = INF if d >= INF else d - sw
-            if a1s == -1 or g < a1g:
-                a2s = a1s
-                a2g = a1g
-                a1s = j
-                a1g = g
-            elif a2s == -1 or g < a2g:
-                a2s = j
-                a2g = g
-        if sk != 1:
-            pg = INF if p >= INF else p - sw
-            if g1s == -1 or pg < g1g:
-                g2s = g1s
-                g2g = g1g
-                g1s = j
-                g1g = pg
-            elif g2s == -1 or pg < g2g:
-                g2s = j
-                g2g = pg
-        if sk == 3:
-            icnt += 1
-            idelta = _sat(idelta, INF if q >= INF else q - rp)
-        if sk == 1:
-            anyp = 1
-    return (kk, r, anyp, base, qsum,
-            a1s, a1g, a2s, a2g,
-            bs, bdown, bkind, bp, bq, br,
-            g1s, g1g, g2s, g2g,
-            icnt, idelta)
-
-
-@_jit
-def merge_d(g1d, ctx):
-    """State D at the block root: dominating set containing the root whose
-    remainder is perfectly matched.  Base set X keeps every child at its
-    cheapest state; an odd D-count is repaired by the cheaper of the
-    alpha upgrade (X+) and the beta downgrade (X-)."""
-    (kk, r, anyp, base, qsum, a1s, a1g, a2s, a2g, bs, bdown, bkind,
-     bp, bq, br, g1s, g1g, g2s, g2g, icnt, idelta) = ctx
-    x = _sat(g1d, base)
-    if r % 2 == 0:
-        return (x, KIND_D, TAG_X, -1, -1, -1, -1, 0, 0)
-    xp = _sat(x, a1g)
-    xm = _sat(x, bdown)
-    if xp <= xm:
-        return (xp, KIND_D, TAG_X_PLUS, a1s, KIND_D, -1, -1, 0, 0)
-    return (xm, KIND_D, TAG_X_MINUS, bs, bkind, -1, -1, 0, 0)
-
-
-@_jit
-def merge_p(g1d, g1p, ctx):
-    """State P at the block root: paired-dominating set containing the root.
-
-    The root is either matched inside its own processed component (base Y
-    on the root's P state) or across the block (base X on the root's D
-    state); parity of the D-count decides which family needs repair."""
-    (kk, r, anyp, base, qsum, a1s, a1g, a2s, a2g, bs, bdown, bkind,
-     bp, bq, br, g1s, g1g, g2s, g2g, icnt, idelta) = ctx
-    x = _sat(g1d, base)
-    y = _sat(g1p, base)
-    if r % 2 == 0:
-        w1 = _sat(x, a1g)
-        w2 = _sat(x, bdown)
-        best = w1
-        pick = 0
-        if w2 < best:
-            best = w2
-            pick = 1
-        if y < best:
-            best = y
-            pick = 2
-        if pick == 0:
-            return (best, KIND_D, TAG_X_PLUS, a1s, KIND_D, -1, -1, 0, 0)
-        if pick == 1:
-            return (best, KIND_D, TAG_X_MINUS, bs, bkind, -1, -1, 0, 0)
-        return (best, KIND_P, TAG_Y, -1, -1, -1, -1, 0, 0)
-    w1 = _sat(y, a1g)
-    w2 = _sat(y, bdown)
-    best = x
-    pick = 0
-    if w1 < best:
-        best = w1
-        pick = 1
-    if w2 < best:
-        best = w2
-        pick = 2
-    if pick == 0:
-        return (best, KIND_D, TAG_X, -1, -1, -1, -1, 0, 0)
-    if pick == 1:
-        return (best, KIND_P, TAG_Y_PLUS, a1s, KIND_D, -1, -1, 0, 0)
-    return (best, KIND_P, TAG_Y_MINUS, bs, bkind, -1, -1, 0, 0)
-
-
-@_jit
-def merge_q1(g1q, ctx):
-    """First route for P' at the root: the root's component contributes its
-    own root-avoiding paired-dominating set, so the root is already
-    dominated from inside.  Case analysis on (P present, parity, r, Pbar
-    present); exactly one case must fire."""
-    (kk, r, anyp, base, qsum, a1s, a1g, a2s, a2g, bs, bdown, bkind,
-     bp, bq, br, g1s, g1g, g2s, g2g, icnt, idelta) = ctx
-    z = _sat(g1q, base)
-    zp = _sat(z, a1g)
-    zm = _sat(z, bdown)
-    odd = r % 2 == 1
-    has_i = icnt > 0
-    # gamma distinct from beta, for the candidates replacing both
-    if g1s != bs:
-        gts = g1s
-        gtg = g1g
-    else:
-        gts = g2s
-        gtg = g2g
-
-    c1 = 1 if (anyp == 1 and odd) else 0
-    c2 = 1 if (anyp == 1 and not odd) else 0
-    c3 = 1 if (anyp == 0 and odd and r == 1 and has_i) else 0
-    c4 = 1 if (anyp == 0 and odd and r == 1 and not has_i) else 0
-    c5 = 1 if (anyp == 0 and odd and r != 1) else 0
-    c6 = 1 if (anyp == 0 and not odd and r == 0 and has_i) else 0
-    c7 = 1 if (anyp == 0 and not odd and r == 0 and not has_i) else 0
-    c8 = 1 if (anyp == 0 and not odd and r != 0) else 0
-    if c1 + c2 + c3 + c4 + c5 + c6 + c7 + c8 != 1:
-        return (INF, KIND_Q, TAG_Z1, -1, -1, -1, -1, 0, -1)
-
-    if c1 == 1 or c5 == 1:
-        case = 1 if c1 == 1 else 5
-        if zp <= zm:
-            return (zp, KIND_Q, TAG_Z1_PLUS, a1s, KIND_D, -1, -1, 0, case)
-        return (zm, KIND_Q, TAG_Z1_MINUS, bs, bkind, -1, -1, 0, case)
-    if c2 == 1 or c7 == 1 or c8 == 1:
-        case = 2 if c2 == 1 else (7 if c7 == 1 else 8)
-        return (z, KIND_Q, TAG_Z1, -1, -1, -1, -1, 0, case)
-    if c3 == 1:
-        t4 = _sat(z, bp)
-        t6k = KIND_Q if bq <= br else KIND_R
-        t6 = _sat(_sat(z, gtg), bq if bq <= br else br)
-        t8 = _sat(_sat(z, idelta), bq)
-        best = zp
-        pick = 0
-        if t4 < best:
-            best = t4
-            pick = 1
-        if t6 < best:
-            best = t6
-            pick = 2
-        if t8 < best:
-            best = t8
-            pick = 3
-        if pick == 0:
-            return (best, KIND_Q, TAG_Z1_PLUS, a1s, KIND_D, -1, -1, 0, 3)
-        if pick == 1:
-            return (best, KIND_Q, TAG_T4, bs, KIND_P, -1, -1, 0, 3)
-        if pick == 2:
-            return (best, KIND_Q, TAG_T6, gts, KIND_P, bs, t6k, 0, 3)
-        return (best, KIND_Q, TAG_T8, bs, KIND_Q, -1, -1, 1, 3)
-    if c4 == 1:
-        t5k = KIND_P if bp <= bq else KIND_Q
-        t5 = _sat(z, bp if bp <= bq else bq)
-        t7 = _sat(_sat(z, gtg), br)
-        best = zp
-        pick = 0
-        if t5 < best:
-            best = t5
-            pick = 1
-        if t7 < best:
-            best = t7
-            pick = 2
-        if pick == 0:
-            return (best, KIND_Q, TAG_Z1_PLUS, a1s, KIND_D, -1, -1, 0, 4)
-        if pick == 1:
-            return (best, KIND_Q, TAG_T5, bs, t5k, -1, -1, 0, 4)
-        return (best, KIND_Q, TAG_T7, gts, KIND_P, bs, KIND_R, 0, 4)
-    # c6: no D-children, some Pbar-children needing a dominator in the block
-    t1 = _sat(z, g1g)
-    t2 = _sat(_sat(z, a1g), a2g)
-    t3 = _sat(z, idelta)
-    best = t1
-    pick = 0
-    if t2 < best:
-        best = t2
-        pick = 1
-    if t3 < best:
-        best = t3
-        pick = 2
-    if pick == 0:
-        return (best, KIND_Q, TAG_T1, g1s, KIND_P, -1, -1, 0, 6)
-    if pick == 1:
-        return (best, KIND_Q, TAG_T2, a1s, KIND_D, a2s, KIND_D, 0, 6)
-    return (best, KIND_Q, TAG_T3, -1, -1, -1, -1, 1, 6)
-
-
-@_jit
-def merge_q2(g1r, ctx):
-    """Second route for P' at the root: the root's component leaves the root
-    undominated, so some block vertex must enter the set to dominate it.
-    Cases 9-14 mirror the first route minus the all-P' candidates."""
-    (kk, r, anyp, base, qsum, a1s, a1g, a2s, a2g, bs, bdown, bkind,
-     bp, bq, br, g1s, g1g, g2s, g2g, icnt, idelta) = ctx
-    z = _sat(g1r, base)
-    zp = _sat(z, a1g)
-    zm = _sat(z, bdown)
-    odd = r % 2 == 1
-    if g1s != bs:
-        gts = g1s
-        gtg = g1g
-    else:
-        gts = g2s
-        gtg = g2g
-
-    c9 = 1 if (anyp == 1 and odd) else 0
-    c10 = 1 if (anyp == 1 and not odd) else 0
-    c11 = 1 if (anyp == 0 and odd and r == 1) else 0
-    c12 = 1 if (anyp == 0 and odd and r != 1) else 0
-    c13 = 1 if (anyp == 0 and not odd and r == 0) else 0
-    c14 = 1 if (anyp == 0 and not odd and r != 0) else 0
-    if c9 + c10 + c11 + c12 + c13 + c14 != 1:
-        return (INF, KIND_R, TAG_Z2, -1, -1, -1, -1, 0, -1)
-
-    if c9 == 1 or c12 == 1:
-        case = 9 if c9 == 1 else 12
-        if zp <= zm:
-            return (zp, KIND_R, TAG_Z2_PLUS, a1s, KIND_D, -1, -1, 0, case)
-        return (zm, KIND_R, TAG_Z2_MINUS, bs, bkind, -1, -1, 0, case)
-    if c10 == 1 or c14 == 1:
-        case = 10 if c10 == 1 else 14
-        return (z, KIND_R, TAG_Z2, -1, -1, -1, -1, 0, case)
-    if c11 == 1:
-        t11 = _sat(z, bp)
-        t12k = KIND_Q if bq <= br else KIND_R
-        t12 = _sat(_sat(z, gtg), bq if bq <= br else br)
-        best = zp
-        pick = 0
-        if t11 < best:
-            best = t11
-            pick = 1
-        if t12 < best:
-            best = t12
-            pick = 2
-        if pick == 0:
-            return (best, KIND_R, TAG_Z2_PLUS, a1s, KIND_D, -1, -1, 0, 11)
-        if pick == 1:
-            return (best, KIND_R, TAG_T11, bs, KIND_P, -1, -1, 0, 11)
-        return (best, KIND_R, TAG_T12, gts, KIND_P, bs, t12k, 0, 11)
-    # c13: no D- or P-children; force a block vertex in via gamma or a D pair
-    t9 = _sat(z, g1g)
-    t10 = _sat(_sat(z, a1g), a2g)
-    if t9 <= t10:
-        return (t9, KIND_R, TAG_T9, g1s, KIND_P, -1, -1, 0, 13)
-    return (t10, KIND_R, TAG_T10, a1s, KIND_D, a2s, KIND_D, 0, 13)
-
-
-@_jit
-def merge_pbar(g1r, ctx):
-    """State Pbar at the root: the root's component keeps the root
-    undominated and every other block vertex brings its P' state."""
-    (kk, r, anyp, base, qsum, a1s, a1g, a2s, a2g, bs, bdown, bkind,
-     bp, bq, br, g1s, g1g, g2s, g2g, icnt, idelta) = ctx
-    return (_sat(g1r, qsum), KIND_R, TAG_PBAR, -1, -1, -1, -1, 0, 0)
-
-
-@_jit
-def dp_sweep(n, wts, nb, block_ptr, block_verts, order, root_of, final_root):
-    """Run every block merge along the elimination order.
-
-    Returns the per-vertex state weights, per-merge-event result weights
-    and choice records, the per-event child lists with their base state
-    selections, the event links needed for reconstruction, and an error
-    flag (nonzero if a merge context matched no case, which indicates a
-    bug, never expected on valid input).
-    """
-    sD = wts.copy()
-    sP = np.full(n, INF, np.int64)
-    sQ = np.full(n, INF, np.int64)
-    sR = np.zeros(n, np.int64)
-
-    max_k = 0
-    for b in range(nb):
-        k = block_ptr[b + 1] - block_ptr[b]
-        if k > max_k:
-            max_k = k
-    cd = np.empty(max_k, np.int64)
-    cp = np.empty(max_k, np.int64)
-    cq = np.empty(max_k, np.int64)
-    cr = np.empty(max_k, np.int64)
-    kindsbuf = np.empty(max_k, np.int8)
-
-    total_children = block_ptr[nb] - nb
-    if total_children < 1:
-        total_children = 1
-    ev_root = np.empty(nb, np.int64)
-    ev_child_ptr = np.zeros(nb + 1, np.int64)
-    ev_child_v = np.empty(total_children, np.int64)
-    ev_child_kind = np.empty(total_children, np.int8)
-    res_w = np.empty((nb, 4), np.int64)
-    rec_g1k = np.empty((nb, 4), np.int8)
-    rec_tag = np.empty((nb, 4), np.int8)
-    rec_o1s = np.full((nb, 4), -1, np.int64)
-    rec_o1k = np.full((nb, 4), -1, np.int8)
-    rec_o2s = np.full((nb, 4), -1, np.int64)
-    rec_o2k = np.full((nb, 4), -1, np.int8)
-    rec_ifl = np.zeros((nb, 4), np.int8)
-    ev_q1case = np.zeros(nb, np.int8)
-    ev_q2case = np.zeros(nb, np.int8)
-    g1_prev = np.full(nb, -1, np.int64)
-    last_event = np.full(n, -1, np.int64)
-    err = 0
-
-    cpos = 0
-    for e in range(nb):
-        b = order[e]
-        if e == nb - 1:
-            u1 = final_root
-        else:
-            u1 = root_of[b]
-        ev_root[e] = u1
-        kk = 0
-        for i in range(block_ptr[b], block_ptr[b + 1]):
-            v = block_verts[i]
-            if v != u1:
-                cd[kk] = sD[v]
-                cp[kk] = sP[v]
-                cq[kk] = sQ[v]
-                cr[kk] = sR[v]
-                ev_child_v[cpos + kk] = v
-                kk += 1
-        ctx = build_ctx(cd, cp, cq, cr, kk, kindsbuf)
-        for j in range(kk):
-            ev_child_kind[cpos + j] = kindsbuf[j]
-
-        g1d = sD[u1]
-        g1p = sP[u1]
-        g1q = sQ[u1]
-        g1r = sR[u1]
-        rd = merge_d(g1d, ctx)
-        rp = merge_p(g1d, g1p, ctx)
-        rq1 = merge_q1(g1q, ctx)
-        rq2 = merge_q2(g1r, ctx)
-        rr = merge_pbar(g1r, ctx)
-        if rq1[8] < 0 or rq2[8] < 0:
-            err = 1
-        rq = rq1 if rq1[0] <= rq2[0] else rq2
-
-        res_w[e, 0] = rd[0]
-        rec_g1k[e, 0] = rd[1]
-        rec_tag[e, 0] = rd[2]
-        rec_o1s[e, 0] = rd[3]
-        rec_o1k[e, 0] = rd[4]
-        rec_o2s[e, 0] = rd[5]
-        rec_o2k[e, 0] = rd[6]
-        rec_ifl[e, 0] = rd[7]
-        res_w[e, 1] = rp[0]
-        rec_g1k[e, 1] = rp[1]
-        rec_tag[e, 1] = rp[2]
-        rec_o1s[e, 1] = rp[3]
-        rec_o1k[e, 1] = rp[4]
-        rec_o2s[e, 1] = rp[5]
-        rec_o2k[e, 1] = rp[6]
-        rec_ifl[e, 1] = rp[7]
-        res_w[e, 2] = rq[0]
-        rec_g1k[e, 2] = rq[1]
-        rec_tag[e, 2] = rq[2]
-        rec_o1s[e, 2] = rq[3]
-        rec_o1k[e, 2] = rq[4]
-        rec_o2s[e, 2] = rq[5]
-        rec_o2k[e, 2] = rq[6]
-        rec_ifl[e, 2] = rq[7]
-        res_w[e, 3] = rr[0]
-        rec_g1k[e, 3] = rr[1]
-        rec_tag[e, 3] = rr[2]
-        rec_o1s[e, 3] = rr[3]
-        rec_o1k[e, 3] = rr[4]
-        rec_o2s[e, 3] = rr[5]
-        rec_o2k[e, 3] = rr[6]
-        rec_ifl[e, 3] = rr[7]
-        ev_q1case[e] = rq1[8]
-        ev_q2case[e] = rq2[8]
-
-        g1_prev[e] = last_event[u1]
-        last_event[u1] = e
-        sD[u1] = rd[0]
-        sP[u1] = rp[0]
-        sQ[u1] = rq[0]
-        sR[u1] = rr[0]
-        cpos += kk
-        ev_child_ptr[e + 1] = cpos
-
-    return (sD, sP, sQ, sR, ev_root, ev_child_ptr, ev_child_v[:cpos],
-            ev_child_kind[:cpos], res_w, rec_g1k, rec_tag, rec_o1s, rec_o1k,
-            rec_o2s, rec_o2k, rec_ifl, ev_q1case, ev_q2case, g1_prev,
-            last_event, err)
-
-
-@_jit
-def reconstruct_mask(n, nb, start_vertex, start_kind, start_event,
-                     ev_child_ptr, ev_child_v, ev_child_kind,
-                     rec_g1k, rec_tag, rec_o1s, rec_o1k, rec_o2s, rec_o2k,
-                     rec_ifl, g1_prev, last_event):
-    """Walk the choice records from one (vertex, kind, event) root and emit
-    the selected vertex set as a 0/1 mask.
-
-    err=1: an infeasible initial state was dereferenced; err=2: the walk
-    visited more nodes than the choice tree can contain.  Both indicate
-    internal inconsistency.
-    """
-    mask = np.zeros(n, np.uint8)
-    cap = n + nb + 2
-    st_v = np.empty(cap, np.int64)
-    st_k = np.empty(cap, np.int64)
-    st_e = np.empty(cap, np.int64)
-    st_v[0] = start_vertex
-    st_k[0] = start_kind
-    st_e[0] = start_event
-    top = 1
-    budget = 2 * cap
-    err = 0
-    while top > 0:
-        budget -= 1
-        if budget < 0:
-            err = 2
-            break
-        top -= 1
-        v = st_v[top]
-        k = st_k[top]
-        e = st_e[top]
-        if e == -1:
-            if k == KIND_D:
-                mask[v] = 1
-            elif k != KIND_R:
-                err = 1
-            continue
-        tag = rec_tag[e, k]
-        if top + 1 > cap:
-            err = 2
-            break
-        st_v[top] = v
-        st_k[top] = rec_g1k[e, k]
-        st_e[top] = g1_prev[e]
-        top += 1
-        o1s = rec_o1s[e, k]
-        o1k = rec_o1k[e, k]
-        o2s = rec_o2s[e, k]
-        o2k = rec_o2k[e, k]
-        ifl = rec_ifl[e, k]
-        allq = 1 if tag == TAG_PBAR else 0
-        cstart = ev_child_ptr[e]
-        cend = ev_child_ptr[e + 1]
-        if top + (cend - cstart) > cap:
-            err = 2
-            break
-        for j in range(cend - cstart):
-            cv = ev_child_v[cstart + j]
-            ck = np.int64(ev_child_kind[cstart + j])
-            if allq == 1:
-                ck = KIND_Q
-            elif j == o1s:
-                ck = np.int64(o1k)
-            elif j == o2s:
-                ck = np.int64(o2k)
-            elif ifl == 1 and ck == KIND_R:
-                ck = KIND_Q
-            st_v[top] = cv
-            st_k[top] = ck
-            st_e[top] = last_event[cv]
-            top += 1
-    return mask, err
+    return (np.array(order, dtype=np.int64), np.array(root_of, dtype=np.int64),
+            len(order) == nb)

@@ -1,12 +1,12 @@
 """The block-graph dynamic program, evaluated on whole arrays.
 
 Vertex states.  A vertex ``v`` tops the subgraph below it, and has four
-weights there, indexed as follows (``StateKind`` names in brackets):
+weights there, indexed by :class:`StateKind` (short names in brackets):
 
-  Q = 0  [P']   paired-dominating set avoiding v
-  R = 1  [Pbar] paired-dominating set of all but v, leaving v undominated
-  P = 2  [P]    paired-dominating set containing v
-  D = 3  [D]    dominating set containing v, all of it but v perfectly matched
+  P_PRIME = 0  [Q]  paired-dominating set avoiding v
+  P_BAR   = 1  [R]  paired-dominating set of all but v, leaving v undominated
+  P       = 2  [P]  paired-dominating set containing v
+  D       = 3  [D]  dominating set containing v, all of it but v perfectly matched
 
 Block fold.  The children of a block combine into four weights, indexed
 by what they bring to the block's attachment, an element of a monoid:
@@ -47,6 +47,7 @@ pairing.  All sums saturate at ``INFEASIBLE``.
 
 from __future__ import annotations
 
+from enum import IntEnum
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,7 +55,17 @@ import numpy as np
 from .rooted import RootedBlocks
 from .weights import INFEASIBLE as INF
 
-Q, R, P, D = 0, 1, 2, 3
+
+class StateKind(IntEnum):
+    """The four vertex states, numbered as the rows of the sweep's weights."""
+
+    P_PRIME = 0
+    P_BAR = 1
+    P = 2
+    D = 3
+
+
+Q, R, P, D = map(int, StateKind)
 EN, EP, EI, OI = 0, 1, 2, 3
 HE, HO, HI, HN = 0, 1, 2, 3
 

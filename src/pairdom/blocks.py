@@ -23,9 +23,10 @@ class BlockCutTree:
 
     Array form: ``block_ptr``/``block_verts`` is a CSR over blocks,
     ``is_cut`` flags articulation points.  ``elimination_order`` lists
-    block ids so that each block is a leaf of the remaining tree when it
-    is removed; ``block_roots[b]`` is the cut vertex it hangs from at
-    that moment (-1 for the final block).
+    block ids, always taking the smallest-id leaf of the remaining tree
+    next, so that each block is a leaf when it is removed;
+    ``block_roots[b]`` is the cut vertex it hangs from at that moment (-1
+    for the final block).
     """
 
     n: int
@@ -34,19 +35,8 @@ class BlockCutTree:
     block_verts: np.ndarray
     block_edge_counts: np.ndarray
     is_cut: np.ndarray
-    _blocks: Optional[list] = field(default=None, repr=False)
     _order: Optional[np.ndarray] = field(default=None, repr=False)
     _roots: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def blocks(self) -> list:
-        if self._blocks is None:
-            out = []
-            for b in range(self.num_blocks):
-                vs = self.block_verts[self.block_ptr[b]:self.block_ptr[b + 1]]
-                out.append(Block(b, tuple(int(v) for v in vs)))
-            self._blocks = out
-        return self._blocks
 
     @property
     def cut_vertices(self) -> tuple:
@@ -90,7 +80,7 @@ def find_blocks(g: WeightedGraph) -> BlockCutTree:
     """
     if g.n == 0:
         raise Disconnected("empty graph")
-    from ._kernels import tarjan_blocks    # the scalar kernels load on first use
+    from ._kernels import tarjan_blocks    # loads on first use
     if g.n == 1:
         return BlockCutTree(
             n=1,
@@ -143,23 +133,12 @@ def require_block_graph(g: WeightedGraph) -> BlockCutTree:
     return bct
 
 
-def pendant_elimination_order(bct: BlockCutTree) -> list:
-    """Block ids in removal order: always the smallest-id current leaf.
-
-    Each listed block is pendant (at most one cut vertex) in the tree
-    that remains after removing its predecessors.
-    """
-    return [int(b) for b in bct.elimination_order]
-
-
 def _compute_elimination(bct: BlockCutTree):
     from ._kernels import eliminate
     order, roots, ok = eliminate(bct.num_blocks, bct.block_ptr,
                                  bct.block_verts, bct.is_cut, bct.n)
-    if not int(ok):
+    if not ok:
         raise InternalInconsistency("block-cut tree peel did not consume every block")
-    order = np.asarray(order)
-    roots = np.asarray(roots)
     if bct.num_blocks > 1 and int((roots[order[:-1]] < 0).sum()) > 0:
         raise InternalInconsistency("a non-final block had no attachment cut vertex")
     return order, roots

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .blocks import find_blocks, pendant_elimination_order, to_dot
+from .blocks import find_blocks, to_dot
 from .errors import InternalInconsistency, PairdomError, TooLarge
 from .generator import GENERATOR_ALGORITHM, chain_of_triangles, random_block_graph
 from .graph import is_paired_dominating_set
@@ -111,8 +111,7 @@ def _cmd_decompose(args) -> int:
         vs = " ".join(str(int(v) + 1) for v in sorted(bct.block_vertices(b)))
         print(f"block {b + 1}: {vs}")
     print("cuts: " + " ".join(str(c + 1) for c in bct.cut_vertices))
-    order = pendant_elimination_order(bct)
-    print("order: " + " ".join(str(b + 1) for b in order))
+    print("order: " + " ".join(str(b + 1) for b in bct.elimination_order.tolist()))
     return 0
 
 

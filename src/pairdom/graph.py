@@ -44,21 +44,6 @@ class WeightedGraph:
     def edge_list(self) -> list:
         return [(int(u), int(v)) for u, v in self.edges]
 
-    def induced(self, vertices: Sequence[int]) -> tuple["WeightedGraph", dict]:
-        """Subgraph induced by ``vertices``, relabeled to 0..k-1.
-
-        Returns the subgraph and the old-id -> new-id mapping.
-        """
-        keep = sorted(set(int(v) for v in vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        sub_edges = [
-            (index[int(u)], index[int(v)])
-            for u, v in self.edges
-            if int(u) in index and int(v) in index
-        ]
-        sub = build_graph(len(keep), [int(self.weights[v]) for v in keep], sub_edges)
-        return sub, index
-
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -90,8 +75,11 @@ def build_graph(n: int, weights: Sequence[int], edges) -> WeightedGraph:
     negative weights, and totals that could overflow downstream
     arithmetic.
     """
-    w_arr = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights,
-                       dtype=np.int64)
+    try:
+        w_arr = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights,
+                           dtype=np.int64)
+    except OverflowError:
+        raise WeightOverflow("a weight is outside the 64-bit integer range") from None
     if w_arr.shape != (n,):
         raise WeightOverflow(f"expected {n} weights, got {w_arr.shape}")
     if n and int(w_arr.min()) < 0:
@@ -149,12 +137,26 @@ def build_graph(n: int, weights: Sequence[int], edges) -> WeightedGraph:
     )
 
 
+def search_order(g: WeightedGraph, root: int) -> np.ndarray:
+    """Breadth-first order of the vertices reachable from ``root``."""
+    ptr = g.adj_indptr.tolist()
+    lo, hi = ptr[:-1], ptr[1:]
+    adj = memoryview(g.adj_indices)     # as fast as a list here, and no copy
+    seen = [False] * g.n
+    seen[root] = True
+    order = [root]
+    append = order.append
+    for u in order:
+        for v in adj[lo[u]:hi[u]]:
+            if not seen[v]:
+                seen[v] = True
+                append(v)
+    return np.array(order, dtype=np.int64)
+
+
 def is_connected(g: WeightedGraph) -> bool:
-    """True iff a traversal from vertex 0 reaches every vertex (n=0 is connected)."""
-    if g.n == 0:
-        return True
-    from ._kernels import reach_count
-    return int(reach_count(g.n, g.adj_indptr, g.adj_indices, 0)) == g.n
+    """True iff a search from vertex 0 reaches every vertex (n=0 is connected)."""
+    return g.n == 0 or search_order(g, 0).shape[0] == g.n
 
 
 def is_dominating_set(g: WeightedGraph, s) -> bool:

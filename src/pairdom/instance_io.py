@@ -23,7 +23,8 @@ def parse_instance(text: str) -> WeightedGraph:
     weights = None
     weight_seen = None
     edges = []
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, rawline in enumerate(lines, start=1):
         line = rawline.strip()
         if not line or line.startswith("c"):
             continue
@@ -39,6 +40,9 @@ def parse_instance(text: str) -> WeightedGraph:
                 raise ParseError(f"line {lineno}: non-integer header fields") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: negative sizes")
+            if n > len(lines) or m > len(lines):
+                raise ParseError(f"line {lineno}: sizes {n} {m} exceed the "
+                                 f"file's {len(lines)} lines")
             weights = [None] * n
             weight_seen = 0
         elif parts[0] == "w":
@@ -72,6 +76,7 @@ def parse_instance(text: str) -> WeightedGraph:
             edges.append((u - 1, v - 1))
         else:
             raise ParseError(f"line {lineno}: unknown line type {parts[0]!r}")
+    del lines       # free the lines before build_graph allocates its arrays
     if n is None:
         raise ParseError("missing 'p pdom' header")
     if weight_seen != n:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .blocks import require_block_graph
 from .errors import InternalInconsistency
-from .graph import WeightedGraph
+from .graph import WeightedGraph, search_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,23 +49,6 @@ class RootedBlocks:
     @property
     def num_blocks(self) -> int:
         return int(self.attach.shape[0])
-
-
-def search_order(g: WeightedGraph, root: int) -> np.ndarray:
-    """Breadth-first order of the vertices reachable from ``root``."""
-    ptr = g.adj_indptr.tolist()
-    lo, hi = ptr[:-1], ptr[1:]
-    adj = memoryview(g.adj_indices)     # as fast as a list here, and no copy
-    seen = [False] * g.n
-    seen[root] = True
-    order = [root]
-    append = order.append
-    for u in order:
-        for v in adj[lo[u]:hi[u]]:
-            if not seen[v]:
-                seen[v] = True
-                append(v)
-    return np.array(order, dtype=np.int64)
 
 
 def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:

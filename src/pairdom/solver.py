@@ -10,40 +10,28 @@ state weights:
   Pbar    min-weight paired-dominating set of H minus the root that also
           leaves the root undominated.
 
-The winning weight of the whole graph is min(P, P') at the root.  There
-are two implementations of the program:
-
-* :func:`solve` roots the graph at a vertex, folds each block's children
-  and each vertex's blocks with min-plus products, and evaluates the
-  folds in whole-array rounds over heavy paths (``rooted`` and
-  ``arraydp``).  It has no loop per block.
-* :func:`pairdom.trace.solve_detailed` is the trace path: it merges
-  blocks one at a time in pendant order and keeps a choice record per
-  merge.  Its kernels are plain Python loops unless numba is installed,
-  so it is slow on large graphs.  The tests check the two against each
-  other and against brute force.
+The winning weight of the whole graph is min(P, P') at the root.
+:func:`solve` roots the graph at a vertex, folds each block's children
+and each vertex's blocks with min-plus products, and evaluates the folds
+in whole-array rounds over heavy paths (``rooted`` and ``arraydp``).  It
+has no loop per block.  The tests check every state of every vertex
+against the brute-force oracle (``oracle``) on small graphs.
 """
 
 from __future__ import annotations
 
 import time
-from enum import IntEnum
 from typing import Optional
 
 import numpy as np
 
-from .arraydp import P as _STATE_P, TreePlan
+from .arraydp import StateKind, TreePlan
 from .errors import InternalInconsistency, NoPairedDominatingSet
 from .graph import VertexSet, WeightedGraph
 from .rooted import root_blocks
 from .weights import INFEASIBLE
 
-
-class StateKind(IntEnum):
-    D = 0
-    P = 1
-    P_PRIME = 2
-    P_BAR = 3
+_STATE_P = int(StateKind.P)
 
 
 def require_pairable(g: WeightedGraph):
@@ -65,8 +53,7 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
     ``final_root`` is the vertex the program is rooted at (default 0);
     any vertex gives the same weight, and an id outside the graph raises
     ValueError.  Among sets of equal weight the one returned depends on
-    the root, and may differ from the one that
-    :func:`pairdom.trace.solve_detailed` returns.
+    the root.
 
     If ``stats`` is a dict, it receives ``blocks`` (the number of blocks)
     and the seconds of each stage: ``decompose_s``, ``sweep_s`` and

@@ -18,22 +18,3 @@ MAX_TOTAL_WEIGHT = 1 << 59
 
 def is_feasible(w: int) -> bool:
     return w < INFEASIBLE
-
-
-def w_add(a: int, b: int) -> int:
-    """Saturating addition: anything involving INFEASIBLE stays infeasible."""
-    s = a + b
-    return INFEASIBLE if s >= INFEASIBLE else s
-
-
-def w_min(*values: int) -> int:
-    """Minimum of extended weights; the earliest argument wins ties."""
-    best = values[0]
-    for v in values[1:]:
-        if v < best:
-            best = v
-    return best
-
-
-def fmt_weight(w: int) -> str:
-    return "infeasible" if w >= INFEASIBLE else str(w)

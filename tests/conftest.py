@@ -1,9 +1,10 @@
-"""Shared fixtures: canonical small graphs and trace helpers."""
+"""Shared fixtures: canonical small graphs and the per-vertex state check."""
 
-import numpy as np
 import pytest
 
-from pairdom import build_graph, find_blocks
+from pairdom import StateKind, build_graph, find_blocks, oracle_state
+from pairdom.arraydp import TreePlan
+from pairdom.rooted import root_blocks
 
 # Fifteen-vertex golden instance: eight cliques glued at six cut vertices.
 # 1-based vertex labels; blocks 1,2,4,5,7 are pendant and block 8 is the
@@ -61,22 +62,38 @@ def cycle_graph(n, weights=None):
                        [(i, (i + 1) % n) for i in range(n)])
 
 
-def event_subgraphs(g, result):
-    """For each merge event: the vertex set of the processed subgraph H
-    rooted at the event's root, and the root's own component before the
-    merge (accumulated exactly as the sweep does)."""
-    hset = {v: {v} for v in range(g.n)}
-    out = []
-    for ev in result.events:
-        g1 = frozenset(hset[ev.root])
-        H = set(g1)
-        for c in ev.children:
-            H |= hset[c]
-        for v in result.bct.block_vertices(ev.block_id):
-            H.add(int(v))
-        hset[ev.root] = H
-        out.append((ev, frozenset(H), g1))
-    return out
+def sweep(g, root):
+    """The rooted decomposition of ``g`` and the sweep's (4, n) weights."""
+    rb = root_blocks(g, root)
+    return rb, TreePlan(rb).sweep(g.weights)
+
+
+def check_vertex_states(g, root, vertices=None, where=""):
+    """Sweep ``g`` rooted at ``root`` and check the four weights of each of
+    ``vertices`` (default all) against :func:`oracle_state` on the
+    subgraph below that vertex: the vertex and its descendants through
+    ``parent``.  Returns the number of states checked."""
+    rb, val = sweep(g, root)
+    children = [[] for _ in range(g.n)]
+    for v in rb.order[1:].tolist():
+        children[rb.parent[v]].append(v)
+    checked = 0
+    for v in range(g.n) if vertices is None else vertices:
+        below = [v]
+        for u in below:             # grows as it goes: v's whole subtree
+            below.extend(children[u])
+        index = {u: i for i, u in enumerate(below)}
+        edges = [(i, index[x]) for i, u in enumerate(below)
+                 for x in g.neighbors(u).tolist() if index.get(x, -1) > i]
+        sub = build_graph(len(below), g.weights[below], edges)
+        for kind in StateKind:
+            expected = oracle_state(sub, 0, kind)
+            stored = int(val[kind, v])
+            assert stored == expected, (
+                f"{where}root {root}, vertex {v}, state {kind.name}: "
+                f"expected {expected}, stored {stored}")
+            checked += 1
+    return checked
 
 
 def assert_valid_elimination(g, bct=None):

@@ -1,6 +1,6 @@
 """The whole-array solve: its pieces against loop references, its answers
-against the per-block trace path at sizes the oracle cannot reach, and
-its rejections against Tarjan's decomposition."""
+at sizes the oracle cannot reach, and its rejections against Tarjan's
+decomposition."""
 
 import subprocess
 import sys
@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from pairdom import (Disconnected, NotBlockGraph, build_graph,
                      chain_of_triangles, find_blocks, is_dominating_set,
-                     oracle_min_pds, random_block_graph, solve,
-                     solve_detailed)
+                     oracle_min_pds, random_block_graph, solve)
 from pairdom import arraydp
 from pairdom.blocks import require_block_graph
 from pairdom.rooted import root_blocks
 from pairdom.weights import INFEASIBLE as INF
 
-from conftest import clique_graph, cycle_graph
+from conftest import check_vertex_states, clique_graph, cycle_graph
 
 
 def _block_graph_matched(g, members):
@@ -145,23 +144,37 @@ def test_final_root_out_of_range():
             solve(clique_graph(3), final_root=bad)
 
 
-# ------------------------------------------------- differential, large sizes
+# ------------------------------------------------------------- large sizes
+
+def _large(g, optimum=None):
+    return pytest.param(g, optimum, id=f"n{g.n}")
+
 
 LARGE = [
-    chain_of_triangles(100),
-    chain_of_triangles(5000),       # a path longer than one kernel chunk
-    random_block_graph(1000, 2, 30, seed=11),       # a tree
-    random_block_graph(1000, 3, 100, seed=12),
-    random_block_graph(300, 12, 1000, seed=13),
-    random_block_graph(200, 6, 1, seed=14),         # unit weights: many ties
+    _large(chain_of_triangles(100), 68),        # 2 ceil(b / 3) on b unit triangles
+    _large(chain_of_triangles(5000), 3334),     # a path longer than one kernel chunk
+    _large(random_block_graph(1000, 2, 30, seed=11)),       # a tree
+    _large(random_block_graph(1000, 3, 100, seed=12)),
+    _large(random_block_graph(300, 12, 1000, seed=13)),
+    _large(random_block_graph(200, 6, 1, seed=14)),         # unit weights: many ties
 ]
 
 
-@pytest.mark.parametrize("g", LARGE, ids=lambda g: f"n{g.n}")
-def test_solve_matches_trace_path_on_large_graphs(g):
+def _small_subtrees(g, root, most=12, count=200):
+    """Up to ``count`` vertices whose subtree from ``root`` has at most
+    ``most`` vertices, the largest subtrees first."""
+    rb = root_blocks(g, root)
+    size = [1] * g.n
+    for v in rb.order[:0:-1].tolist():
+        size[rb.parent[v]] += size[v]
+    return sorted((v for v in range(g.n) if size[v] <= most), key=lambda v: -size[v])[:count]
+
+
+@pytest.mark.parametrize("g, optimum", LARGE)
+def test_solve_on_large_graphs(g, optimum):
     vset, weight = solve(g)
-    assert weight == solve_detailed(g).weight
     assert vset.total_weight == weight == g.weight_of(vset.members)
+    assert optimum is None or weight == optimum
     assert len(vset) % 2 == 0
     assert is_dominating_set(g, vset.members)
     assert _block_graph_matched(g, vset.members)
@@ -170,6 +183,7 @@ def test_solve_matches_trace_path_on_large_graphs(g):
         other, w = solve(g, final_root=root)
         assert w == weight
         assert other.total_weight == w and _block_graph_matched(g, other.members)
+    check_vertex_states(g, 0, _small_subtrees(g, 0))
 
 
 def test_solve_path_loads_no_scalar_kernels():

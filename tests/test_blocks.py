@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pairdom import (Disconnected, build_graph, find_blocks,
                      first_non_clique_block, is_block_graph,
-                     pendant_elimination_order, random_block_graph, to_dot)
+                     random_block_graph, to_dot)
 
 from conftest import (GOLDEN_PENDANT_SETS, assert_valid_elimination,
                       clique_graph, cycle_graph, path_graph)
@@ -74,13 +74,13 @@ def test_tree_blocks_are_edges():
 
 def test_elimination_single_block():
     bct = find_blocks(clique_graph(3))
-    assert pendant_elimination_order(bct) == [0]
+    assert bct.elimination_order.tolist() == [0]
 
 
 def test_elimination_two_block_path():
     g = path_graph(3)
     bct = find_blocks(g)
-    order = pendant_elimination_order(bct)
+    order = bct.elimination_order.tolist()
     assert len(order) == 2
     assert_valid_elimination(g, bct)
     # smallest eligible block id goes first

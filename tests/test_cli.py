@@ -1,6 +1,9 @@
 """Instance file round-trips and the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +111,16 @@ def test_cli_solve_rejects_malformed(tmp_path, capsys):
     assert main(["solve", path]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "p pdom 2 1\nw 1 99999999999999999999\nw 2 3\ne 1 2\n",    # weight beyond int64
+    "p pdom 99999999999999999999 0\n",                          # n beyond the file
+], ids=["weight", "header"])
+def test_cli_solve_rejects_oversized_numbers(tmp_path, capsys, text):
+    path = _write(tmp_path, "big.pd", text)
+    assert main(["solve", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_missing_file(capsys):
     assert main(["solve", "/nonexistent/file.pd"]) == 2
 
@@ -164,3 +177,14 @@ def test_cli_bench_smoke(capsys):
     out = capsys.readouterr().out
     assert out.startswith("n 101 blocks 50")
     assert "time" in out
+
+
+# -------------------------------------------------------------------- scripts
+
+@pytest.mark.parametrize("args", [["soak_verify.py", "--instances", "20"],
+                                  ["bench_scaling.py", "--max-exp", "10", "--repeat", "1"]],
+                         ids=lambda args: args[0])
+def test_script_runs(args):
+    script = Path(__file__).resolve().parents[1] / "scripts" / args[0]
+    subprocess.run([sys.executable, str(script), *args[1:]], check=True,
+                   capture_output=True, timeout=300)
