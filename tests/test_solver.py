@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairdom import (Disconnected, NoPairedDominatingSet, NotBlockGraph,
-                     build_graph, enumerate_block_graphs,
-                     is_paired_dominating_set, oracle_min_pds,
-                     random_block_graph, solve)
+from pairdom import (INFEASIBLE, Disconnected, NoPairedDominatingSet,
+                     NotBlockGraph, StateKind, build_graph,
+                     enumerate_block_graphs, is_paired_dominating_set,
+                     oracle_min_pds, oracle_state, random_block_graph, solve)
+from pairdom.arraydp import TreePlan
+from pairdom.rooted import root_blocks
 
-from conftest import (GOLDEN_WEIGHT, check_vertex_states, cycle_graph,
-                      path_graph, star_graph)
+from conftest import (GOLDEN_WEIGHT, check_vertex_states, clique_graph,
+                      cycle_graph, path_graph, star_graph, sweep)
 
 # ----------------------------------------------------------- vertex states
 
@@ -48,6 +50,132 @@ def test_vertex_states_match_oracle(name):
     for g in graphs:
         for root in range(g.n):
             check_vertex_states(g, root)
+
+
+# ------------------------------------------------- named states, by hand
+
+def state(g, root, v, kind):
+    """The sweep's weight of ``kind`` at ``v``, rooted at ``root``."""
+    return int(sweep(g, root)[1][kind, v])
+
+
+def test_init_states():
+    # a leaf keeps its initial weights: D its own weight, P-bar 0, P and
+    # P' infeasible (nothing below to pair with or to dominate it)
+    g = star_graph(3, [1, 7, 0, 4])
+    _, val = sweep(g, 0)
+    for leaf in (1, 2, 3):
+        assert val[:, leaf].tolist() == [INFEASIBLE, 0, INFEASIBLE, int(g.weights[leaf])]
+    assert state(build_graph(2, [7, 0], [(0, 1)]), 0, 1, StateKind.D) == 0
+
+
+def test_initial_reconstruction():
+    g = build_graph(2, [7, 3], [(0, 1)])
+    plan = TreePlan(root_blocks(g, 0))
+    states = plan.reconstruct(plan.sweep(g.weights), 0)
+    assert states.tolist() == [StateKind.P, StateKind.D]
+
+
+def test_merge_d_k2():
+    g = HAND_BUILT["K2"]
+    assert state(g, 0, 0, StateKind.D) == 5 == oracle_state(g, 0, StateKind.D)
+
+
+def test_merge_d_k3():
+    g = clique_graph(3)
+    assert state(g, 0, 0, StateKind.D) == 1 == oracle_state(g, 0, StateKind.D)
+
+
+def test_merge_d_even_r_keeps_base():
+    # triangle 0-1-2 with a pendant of weight 4 on 1 and on 2: both
+    # children are cheapest at D (1, against 5 at P) and pair with each
+    # other, so D at the root adds just their weights
+    g = build_graph(5, [4, 1, 1, 4, 4], [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+    _, val = sweep(g, 0)
+    assert val[[StateKind.D, StateKind.P], 1].tolist() == [1, 5]
+    assert val[StateKind.D, 0] == 4 + 1 + 1 == oracle_state(g, 0, StateKind.D)
+
+
+def test_merge_d_odd_r_repairs():
+    # path 0-1-2: the one child is cheapest at D (1) but has nobody to
+    # pair with, so D at the root takes it at P (1 + 2)
+    g = build_graph(3, [4, 1, 2], [(0, 1), (1, 2)])
+    _, val = sweep(g, 0)
+    assert val[[StateKind.D, StateKind.P], 1].tolist() == [1, 3]
+    assert val[StateKind.D, 0] == 4 + 1 + 2 == oracle_state(g, 0, StateKind.D)
+
+
+def test_merge_p_k2():
+    g = HAND_BUILT["K2"]
+    assert state(g, 0, 0, StateKind.P) == 8 == oracle_state(g, 0, StateKind.P)
+
+
+def test_merge_p_path3_second_merge():
+    g = path_graph(3)
+    for root in range(3):
+        assert state(g, root, root, StateKind.P) == 2 == oracle_state(g, root, StateKind.P)
+
+
+def test_merge_p_r_odd_base_feasible():
+    # paw: triangle 0-1-2 plus pendant edge 2-3; the pendant makes 2's
+    # cheapest state D, and the root pairs across the triangle
+    g = build_graph(4, [1] * 4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert state(g, 0, 2, StateKind.D) == 1
+    assert state(g, 0, 0, StateKind.P) == 2 == oracle_state(g, 0, StateKind.P)
+
+
+def test_merge_pprime_path3():
+    g = path_graph(3)
+    assert state(g, 0, 0, StateKind.P_PRIME) == 2 == oracle_state(g, 0, StateKind.P_PRIME)
+
+
+def test_merge_pprime_k2_infeasible():
+    g = build_graph(2, [1, 1], [(0, 1)])
+    for root in range(2):
+        assert (state(g, root, root, StateKind.P_PRIME) == INFEASIBLE
+                == oracle_state(g, root, StateKind.P_PRIME))
+
+
+def test_merge_pbar():
+    # a leaf child has no root-avoiding state, so neither has K2's root
+    g = build_graph(2, [1, 1], [(0, 1)])
+    assert state(g, 0, 0, StateKind.P_BAR) == INFEASIBLE
+    # otherwise P-bar is the sum of the children's P'
+    for seed in range(20):
+        g = random_block_graph(4, 4, 9, seed=seed)
+        rb, val = sweep(g, 0)
+        total = [0] * g.n
+        for v in range(1, g.n):
+            total[rb.parent[v]] += int(val[StateKind.P_PRIME, v])
+        assert val[StateKind.P_BAR].tolist() == [min(t, INFEASIBLE) for t in total], seed
+    legs = build_graph(7, [1] * 7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+    assert state(legs, 0, 0, StateKind.P_BAR) == 2 + 2 == oracle_state(legs, 0, StateKind.P_BAR)
+
+
+def test_pbar_oracle_on_spider():
+    g = HAND_BUILT["spider"]
+    assert state(g, 0, 0, StateKind.P_BAR) == 4 == oracle_state(g, 0, StateKind.P_BAR)
+
+
+def test_three_d_children_cases():
+    g = HAND_BUILT["three-D-children"]
+    _, val = sweep(g, 0)
+    for corner in (1, 2, 3):
+        assert int(val[:, corner].argmin()) == StateKind.D
+    for root in range(g.n):
+        check_vertex_states(g, root)
+    assert solve(g)[1] == oracle_min_pds(g)[1]
+
+
+def test_engineered_t8_winner():
+    g = HAND_BUILT["T8"]
+    rb, val = sweep(g, 0)
+    assert rb.parent[3] == rb.parent[6] == 0
+    order = [StateKind.D, StateKind.P, StateKind.P_PRIME, StateKind.P_BAR]
+    assert val[order, 3].tolist() == [8, 13, 10, INFEASIBLE]
+    assert val[order, 6].tolist() == [53, 56, 4, 3]
+    assert val[StateKind.P_PRIME, 0] == oracle_state(g, 0, StateKind.P_PRIME) == 16
+    assert solve(g)[1] == oracle_min_pds(g)[1]
 
 
 # --------------------------------------------------------------------- solve
@@ -104,6 +232,16 @@ def test_solve_weight_invariant_under_edge_permutation():
         perm = [edges[i] for i in rng.permutation(len(edges))]
         g2 = build_graph(g.n, [int(w) for w in g.weights], perm)
         assert solve(g2)[1] == base
+
+
+def test_solve_reconstruction_consistency():
+    for g in (HAND_BUILT["K2"], HAND_BUILT["T8"]):
+        for root in range(g.n):
+            _, val = sweep(g, root)
+            vset, w = solve(g, final_root=root)
+            assert w == vset.total_weight == min(val[StateKind.P, root],
+                                                 val[StateKind.P_PRIME, root])
+            assert solve(g, final_root=root)[0].members == vset.members
 
 
 @settings(max_examples=60, deadline=None)
