@@ -91,7 +91,10 @@ def build_graph(n: int, weights: Sequence[int], edges) -> WeightedGraph:
     if total >= MAX_TOTAL_WEIGHT:
         raise WeightOverflow(f"total weight {total} exceeds the supported range")
 
-    e = np.asarray(edges, dtype=np.int64)
+    try:
+        e = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        raise OutOfRange("a vertex id is outside the 64-bit integer range") from None
     if e.size == 0:
         e = e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
@@ -160,14 +163,15 @@ def is_connected(g: WeightedGraph) -> bool:
 
 
 def is_dominating_set(g: WeightedGraph, s) -> bool:
-    """Every vertex not in ``s`` has a neighbor in ``s``."""
-    members = set(int(v) for v in s)
-    for v in range(g.n):
-        if v in members:
-            continue
-        if not any(int(u) in members for u in g.neighbors(v)):
-            return False
-    return True
+    """Every vertex not in ``s`` has a neighbor in ``s``; ids outside the
+    graph are ignored."""
+    member = np.zeros(g.n, dtype=bool)
+    member[[v for v in map(int, s) if 0 <= v < g.n]] = True
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    dominated = member.copy()
+    dominated[v[member[u]]] = True
+    dominated[u[member[v]]] = True
+    return bool(dominated.all())
 
 
 def has_perfect_matching(g: WeightedGraph, s) -> bool:

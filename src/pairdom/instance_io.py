@@ -1,15 +1,18 @@
-"""Instance file format: text, LF line endings, 1-based vertex ids.
+"""Instance file format: UTF-8 text, 1-based vertex ids.
 
     p pdom <n> <m>
     w <vertex> <weight>     exactly n lines, every vertex once
     e <u> <v>               exactly m lines, u != v
 
-Lines starting with ``c`` are comments and are ignored.
+Lines starting with ``c`` are comments and are ignored, as are blank
+lines and whitespace around fields.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ParseError
 from .graph import WeightedGraph, build_graph
@@ -18,72 +21,88 @@ from .graph import WeightedGraph, build_graph
 def parse_instance(text: str) -> WeightedGraph:
     """Parse the text form of an instance; raises ParseError on any
     deviation from the format (graph-level validation errors, such as
-    duplicate edges, propagate from build_graph)."""
-    n = m = None
-    weights = None
-    weight_seen = None
-    edges = []
-    lines = text.splitlines()
-    for lineno, rawline in enumerate(lines, start=1):
-        line = rawline.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "pdom":
-                raise ParseError(f"line {lineno}: expected 'p pdom <n> <m>'")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer header fields") from None
-            if n < 0 or m < 0:
-                raise ParseError(f"line {lineno}: negative sizes")
-            if n > len(lines) or m > len(lines):
-                raise ParseError(f"line {lineno}: sizes {n} {m} exceed the "
-                                 f"file's {len(lines)} lines")
-            weights = [None] * n
-            weight_seen = 0
-        elif parts[0] == "w":
-            if n is None:
-                raise ParseError(f"line {lineno}: 'w' before header")
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'w <vertex> <weight>'")
-            try:
-                v, w = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer weight line") from None
-            if not (1 <= v <= n):
-                raise ParseError(f"line {lineno}: vertex {v} out of range 1..{n}")
-            if w < 0:
-                raise ParseError(f"line {lineno}: negative weight {w}")
-            if weights[v - 1] is not None:
-                raise ParseError(f"line {lineno}: duplicate weight for vertex {v}")
-            weights[v - 1] = w
-            weight_seen += 1
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError(f"line {lineno}: 'e' before header")
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer edge line") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"line {lineno}: edge ({u}, {v}) out of range 1..{n}")
-            edges.append((u - 1, v - 1))
-        else:
-            raise ParseError(f"line {lineno}: unknown line type {parts[0]!r}")
-    del lines       # free the lines before build_graph allocates its arrays
-    if n is None:
-        raise ParseError("missing 'p pdom' header")
-    if weight_seen != n:
-        raise ParseError(f"expected {n} weight lines, got {weight_seen}")
-    if len(edges) != m:
-        raise ParseError(f"expected {m} edge lines, got {len(edges)}")
-    return build_graph(n, weights, edges)
+    duplicate edges, propagate from build_graph).  Text in the plain layout
+    is read with numpy; any other goes through the line loop."""
+    parsed = _parse_fast(text)
+    if parsed is None:
+        from ._linewise import parse_lines     # loaded on first use
+        return parse_lines(text)
+    return build_graph(*parsed)
+
+
+def _parse_fast(text: str):
+    """``(n, weights, edges)`` read with numpy over the bytes of ``text``,
+    or None unless it is a valid instance in the plain layout: ASCII, lines
+    ended by ``\\n``, fields split by one space, comments with ``c`` in
+    column 0, numbers of at most 18 digits.  The line loop
+    (``_linewise.parse_lines``) takes every other input, and gives the
+    error of a malformed one.  Per-byte arrays are uint8 or bool; the int
+    arrays hold one entry per field."""
+    if not text.isascii():
+        return None
+    data = (text if text.endswith("\n") else text + "\n").encode()
+    b = np.frombuffer(data, np.uint8)
+    if b"c" in data or b"\n\n" in data or data[0] == 10:   # comments, blank lines
+        ends = np.flatnonzero(b == 10)
+        if np.count_nonzero(b < 32) != ends.size:
+            return None                 # tabs, \r and other control bytes
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        skip = (b[starts] == 10) | (b[starts] == ord("c"))
+        b = b[~np.repeat(skip, ends - starts + 1)]
+        del ends, starts, skip
+    del data
+    # fields end at a space or a newline (any other byte up to 32 fails the
+    # count below): the header's four, then three a line
+    end = np.flatnonzero(b <= 32)
+    rows = (end.size - 4) // 3
+    sep = b[end]
+    eol = sep == 10
+    if (rows < 0 or not eol[3] or not eol[6::3].all()
+            or np.count_nonzero(sep == 32) != end.size - rows - 1):
+        return None
+    head = b[:end[3]].tobytes().split(b" ")
+    if head[:2] != [b"p", b"pdom"] or not all(t.isdigit() and len(t) <= 18 for t in head[2:]):
+        return None
+    n, m = int(head[2]), int(head[3])
+    # then lines of a one-byte type and two numbers
+    end = end[3:]
+    kind = b[end[1::3] - 1]
+    is_w = kind == ord("w")
+    gap = np.diff(end).reshape(rows, 3)             # field length + 1
+    if (gap[:, 0] != 2).any() or not (is_w | (kind == ord("e"))).all():
+        return None
+    length = np.subtract(gap[:, 1:], 1).ravel()
+    top = int(length.max(initial=0))
+    at = np.subtract(end[1:].reshape(rows, 3)[:, 1:], top).ravel()
+    del sep, eol, end, gap, kind
+    if length.size and (length.min() < 1 or top > 18):
+        return None
+    # the numbers, right-aligned, digit by digit from the left; a read left
+    # of a shorter number is masked (the first number ends 13 or more bytes
+    # in, so an index is -4 at the lowest, which numpy reads from the end)
+    val = np.zeros(length.size, dtype=np.int64)
+    for k in range(top - 1, -1, -1):
+        digit = b[at]
+        digit -= ord("0")
+        digit *= length > k
+        if (digit > 9).any():
+            return None
+        val *= 10
+        val += digit
+        at += 1
+    del b, length, at
+    val = val.reshape(rows, 2)
+    wv, e = np.compress(is_w, val, axis=0), np.compress(~is_w, val, axis=0)
+    e -= 1
+    v = wv[:, 0] - 1
+    if (wv.shape[0] != n or e.shape[0] != m or n and (v.min() < 0 or v.max() >= n)
+            or m and (e.min() < 0 or e.max() >= n)):
+        return None
+    seen = np.zeros(n, dtype=bool)
+    seen[v] = True
+    weights = np.zeros(n, dtype=np.int64)
+    weights[v] = wv[:, 1]
+    return (n, weights, e) if seen.all() else None
 
 
 def format_instance(g: WeightedGraph, comments: Iterable[str] = ()) -> str:
@@ -100,7 +119,12 @@ def format_instance(g: WeightedGraph, comments: Iterable[str] = ()) -> str:
 
 def load_instance(path) -> WeightedGraph:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_instance(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                             f"at offset {exc.start}") from None
+    return parse_instance(text)
 
 
 def save_instance(g: WeightedGraph, path, comments: Iterable[str] = ()) -> None:

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairdom import (Disconnected, NotBlockGraph, build_graph,
-                     chain_of_triangles, find_blocks, is_dominating_set,
-                     oracle_min_pds, random_block_graph, solve)
+                     chain_of_triangles, find_blocks, format_instance,
+                     is_dominating_set, oracle_min_pds, random_block_graph, solve)
 from pairdom import arraydp
 from pairdom.blocks import require_block_graph
 from pairdom.rooted import root_blocks
@@ -186,17 +186,19 @@ def test_solve_on_large_graphs(g, optimum):
     check_vertex_states(g, 0, _small_subtrees(g, 0))
 
 
-def test_solve_path_loads_no_scalar_kernels():
-    """Importing the CLI and solving loads neither the per-block kernels
-    nor numba nor scipy."""
+def test_solve_path_loads_no_scalar_kernels(tmp_path):
+    """``pairdom solve --json`` on a file, parsing included, loads neither
+    the per-block kernels, the line-by-line parser, numba nor scipy."""
+    path = tmp_path / "chain.pd"
+    path.write_text(format_instance(chain_of_triangles(3)))
     code = ("import sys; from pairdom.cli import main; "
-            "from pairdom import chain_of_triangles, solve; "
-            "solve(chain_of_triangles(3)); "
-            "print(sorted(m for m in ('pairdom._kernels', 'numba', 'scipy') "
+            f"assert main(['solve', {str(path)!r}, '--json']) == 0; "
+            "print(sorted(m for m in ('pairdom._kernels', 'pairdom._linewise', "
+            "'numba', 'scipy') "
             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("g", [chain_of_triangles(40), random_block_graph(300, 6, 50, seed=15),

@@ -1,13 +1,18 @@
 """Instance file round-trips and the command-line interface."""
 
 import json
+import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from pairdom import ParseError, format_instance, parse_instance, random_block_graph
+from pairdom import (ParseError, chain_of_triangles, format_instance, parse_instance,
+                     random_block_graph)
+from pairdom import _linewise, instance_io
 from pairdom.cli import main
 
 from conftest import golden_graph
@@ -55,18 +60,127 @@ def test_round_trip():
     assert format_instance(g2) == text        # canonical form is stable
 
 
-@pytest.mark.parametrize("text", [
-    "w 1 5\n",                                  # missing header
-    "p pdom 2 1\nw 1 5\ne 1 2\n",               # missing a weight line
-    "p pdom 2 0\nw 1 5\nw 2 3\ne 1 2\n",        # edge count mismatch
-    "p pdom 2 1\nw 1 5\nw 2 -3\ne 1 2\n",       # negative weight
-    "p pdom 2 1\nw 1 5\nw 3 3\ne 1 2\n",        # vertex id out of range
-    "p pdom 2 1\nw 1 5\nw 1 3\ne 1 2\n",        # duplicate weight line
-    "q pdom 2 1\n",                             # unknown line type
-])
+PARSE_ERRORS = {
+    "w 1 5\n": "line 1: 'w' before header",
+    "p pdom 2 1\nw 1 5\ne 1 2\n": "expected 2 weight lines, got 1",
+    "p pdom 2 0\nw 1 5\nw 2 3\ne 1 2\n": "expected 0 edge lines, got 1",
+    "p pdom 2 1\nw 1 5\nw 2 -3\ne 1 2\n": "line 3: negative weight -3",
+    "p pdom 2 1\nw 1 5\nw 3 3\ne 1 2\n": "line 3: vertex 3 out of range 1..2",
+    "p pdom 2 1\nw 1 5\nw 1 3\ne 1 2\n": "line 3: duplicate weight for vertex 1",
+    "q pdom 2 1\n": "line 1: unknown line type 'q'",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=f"^{re.escape(PARSE_ERRORS[text])}$"):
         parse_instance(text)
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except Exception as exc:        # the class and message are compared
+        return type(exc), str(exc)
+    return g.n, g.m, g.weights.tolist(), g.edges.tolist()
+
+
+def _mutate(rng, text):
+    """One random change of the kinds the numpy parser leaves to the line
+    loop (odd layouts, odd numbers) or must reject (malformed files)."""
+    lines = text.split("\n")
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    line = lines[i]
+    kind = rng.randrange(12)
+    if kind == 0:       # layout: tabs, CR, whitespace-only lines, indents
+        return rng.choice([text.replace(" ", "\t", 1), text.replace("\n", "\r\n"),
+                           text.replace("\n", "\n \n", 1), text.replace(" ", "  ", 1),
+                           text.replace("\n", " \n", 1), text.rstrip("\n"),
+                           text.replace("\n", "\n\n", 1), text.replace("\nw", "\n w", 1)])
+    if kind == 1:       # comments, some the line loop would split
+        lines.insert(i, rng.choice(["c", "cw 1 2", " c indented", "c \u00e9",
+                                    "c a\u2028p pdom 1 0", "c \x0bx"]))
+    elif kind == 2:     # numbers int() takes and the numpy path does not
+        lines[i] = line.replace(" ", rng.choice([" +", " 0", " 1_"]), 1)
+    elif kind == 3:     # 18, 19 and 25 digits
+        lines[i] = line + rng.choice(["9" * 17, "0" * 18, "9" * 24])
+    elif kind == 4:
+        del lines[i]
+    elif kind == 5:
+        lines.insert(j, line)
+    elif kind == 6:
+        lines[i], lines[j] = lines[j], line
+    elif kind == 7:     # one byte replaced
+        k = rng.randrange(len(text))
+        return text[:k] + rng.choice("0 9\nwepcx-_\x7f\x0c\x1c\x1f\x85") + text[k + 1:]
+    elif kind == 8:     # a foreign or broken line
+        lines.insert(i, rng.choice(["x 1 2", "w 1", "e 1 2 3", "p pdom 1 1", "e 1 1",
+                                    "e 0 1", "w 0 1", "pdom", "p pdom 1"]))
+    elif kind == 9:     # header sizes off by one
+        lines = [re.sub(r"^p pdom (\d+) (\d+)",
+                        lambda h: f"p pdom {int(h[1]) + rng.choice([-1, 1])} {h[2]}", x)
+                 for x in lines]
+    elif kind == 10:    # fields moved across lines, a digit before the type
+        s = list(text)
+        for sep in rng.sample([" ", "\n"], rng.randrange(1, 3)):
+            k = rng.choice([x.start() for x in re.finditer(sep, text)])
+            s[k] = " \n"[sep == " "]
+        return rng.choice(["".join(s), text.replace("\n", "\n1", 1),
+                           text.replace(line, line[:-1], 1)])
+    else:
+        lines[i] = line.replace("1", "3", 1)
+    return "\n".join(lines)
+
+
+def test_numpy_parser_matches_line_loop():
+    """parse_instance gives the graph, or the error class and message, of
+    the line loop on canonical and mutated instance texts."""
+    for text in ["p pdom 2 1 w\n1 5\nw 2 3\ne 1 2\n", "p pdom 2 1\nw 1 5 w\n2 3\ne 1 2\n",
+                 "p pdom 2 1\nw 1 5\nw 2 3\nx 1 2\n", "p pdom 2 1\nw 1 5\nw 2 3\ne 1  2\n",
+                 f"p pdom {'0' * 5000}2 1\nw 1 5\nw 2 3\ne 1 2\n"]:
+        assert _outcome(parse_instance, text) == _outcome(_linewise.parse_lines, text)
+    rng = random.Random(5)
+    fast = 0
+    for seed in range(600):
+        g = random_block_graph(rng.randrange(1, 7), rng.randrange(2, 5),
+                               rng.choice([1, 50, 10 ** 15]), seed=seed)
+        text = format_instance(g, comments=["seed %d" % seed] * rng.randrange(2))
+        for _ in range(rng.randrange(3)):
+            text = _mutate(rng, text)
+        expected = _outcome(_linewise.parse_lines, text)
+        assert _outcome(parse_instance, text) == expected, repr(text)
+        fast += instance_io._parse_fast(text) is not None
+    assert fast > 100       # the numpy path is exercised, not only skipped
+
+
+def test_canonical_text_skips_line_loop(monkeypatch):
+    def line_loop(text):
+        raise AssertionError("parsed line by line")
+    texts = [format_instance(random_block_graph(40, 5, 30, seed=s)) for s in range(5)]
+    texts += [format_instance(random_block_graph(3, 3, 10 ** 15, seed=1), comments=["a", "b"]),
+              K2_TEXT.replace("\n", "\n\n").rstrip("\n"), "\n" + C4_TEXT,
+              C4_TEXT.replace("\nw", "\n\nw", 1), "p pdom 0 0", "p pdom 1 0\nw 1 0\n",
+              "p pdom 2 1\nw 2 0\ne 2 1\nw 1 100000000000000000\n"]
+    expected = [_outcome(parse_instance, t) for t in texts]
+    monkeypatch.setattr(_linewise, "parse_lines", line_loop)
+    assert [_outcome(parse_instance, t) for t in texts] == expected
+
+
+@pytest.mark.parametrize("g", [chain_of_triangles(10 ** 4),
+                               random_block_graph(2000, 12, 100, seed=1)],
+                         ids=["chain", "cliques"])
+def test_numpy_parser_peak_memory(g):
+    """The numpy parser's peak allocation is at most the line loop's."""
+    text = format_instance(g)
+    peaks = []
+    for parse in (parse_instance, _linewise.parse_lines):
+        tracemalloc.start()
+        try:
+            parse(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 # ---------------------------------------------------------------------- solve
@@ -119,6 +233,13 @@ def test_cli_solve_rejects_oversized_numbers(tmp_path, capsys, text):
     path = _write(tmp_path, "big.pd", text)
     assert main(["solve", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_solve_rejects_non_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.pd"
+    path.write_bytes(b"c caf\xe9\np pdom 2 1\nw 1 5\nw 2 3\ne 1 2\n")
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == "error: not UTF-8 text: byte 0xe9 at offset 5\n"
 
 
 def test_cli_missing_file(capsys):

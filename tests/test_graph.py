@@ -42,6 +42,11 @@ def test_build_rejects_out_of_range():
         build_graph(2, [1, 1], [(0, 2)])
 
 
+def test_build_rejects_vertex_id_beyond_int64():
+    with pytest.raises(OutOfRange, match="64-bit"):
+        build_graph(2, [1, 1], [(0, 10 ** 20)])
+
+
 def test_build_rejects_negative_weight():
     with pytest.raises(WeightOverflow):
         build_graph(2, [1, -1], [(0, 1)])
@@ -70,6 +75,27 @@ def test_is_dominating_set():
     p3 = path_graph(3)
     assert not is_dominating_set(p3, {0})
     assert is_dominating_set(p3, {1})
+
+
+def _dominates_by_loop(g, s):
+    members = set(int(v) for v in s)
+    return all(v in members or any(int(u) in members for u in g.neighbors(v))
+               for v in range(g.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_is_dominating_set_matches_loop(seed, data):
+    g = random_block_graph(data.draw(st.integers(1, 6)), 4, 5, seed=seed)
+    subset = data.draw(st.lists(st.integers(-2, g.n + 2), max_size=g.n + 2))
+    assert is_dominating_set(g, subset) == _dominates_by_loop(g, subset)
+
+
+def test_is_dominating_set_edge_cases():
+    empty = build_graph(0, [], [])
+    assert is_dominating_set(empty, []) and is_dominating_set(empty, [3])
+    single = build_graph(1, [1], [])
+    assert not is_dominating_set(single, [-1, 1]) and is_dominating_set(single, [0])
 
 
 def test_has_perfect_matching_basics():
