@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import Disconnected, InternalInconsistency, NotBlockGraph
+from .errors import Disconnected, NotBlockGraph
 from .graph import WeightedGraph
 
 
@@ -22,11 +22,11 @@ class BlockCutTree:
     """Decomposition of a connected graph into blocks and cut vertices.
 
     Array form: ``block_ptr``/``block_verts`` is a CSR over blocks,
-    ``is_cut`` flags articulation points.  ``elimination_order`` lists
-    block ids, always taking the smallest-id leaf of the remaining tree
-    next, so that each block is a leaf when it is removed;
-    ``block_roots[b]`` is the cut vertex it hangs from at that moment (-1
-    for the final block).
+    ``is_cut`` flags articulation points.  Blocks are numbered in the
+    order a depth-first search from vertex 0 completes them, so removing
+    them in id order (``elimination_order``) removes a leaf of the
+    remaining tree each time; ``block_roots[b]`` is the cut vertex that
+    block ``b`` hangs from then (-1 for the last block).
     """
 
     n: int
@@ -34,9 +34,8 @@ class BlockCutTree:
     block_ptr: np.ndarray
     block_verts: np.ndarray
     block_edge_counts: np.ndarray
+    block_roots: np.ndarray
     is_cut: np.ndarray
-    _order: Optional[np.ndarray] = field(default=None, repr=False)
-    _roots: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def cut_vertices(self) -> tuple:
@@ -61,15 +60,7 @@ class BlockCutTree:
 
     @property
     def elimination_order(self) -> np.ndarray:
-        if self._order is None:
-            self._order, self._roots = _compute_elimination(self)
-        return self._order
-
-    @property
-    def block_roots(self) -> np.ndarray:
-        if self._roots is None:
-            self._order, self._roots = _compute_elimination(self)
-        return self._roots
+        return np.arange(self.num_blocks, dtype=np.int64)
 
 
 def find_blocks(g: WeightedGraph) -> BlockCutTree:
@@ -88,9 +79,10 @@ def find_blocks(g: WeightedGraph) -> BlockCutTree:
             block_ptr=np.array([0, 1], dtype=np.int64),
             block_verts=np.array([0], dtype=np.int64),
             block_edge_counts=np.array([0], dtype=np.int64),
+            block_roots=np.array([-1], dtype=np.int64),
             is_cut=np.zeros(1, dtype=np.uint8),
         )
-    comp_ptr, comp_verts, comp_ecnt, is_cut, visited = tarjan_blocks(
+    comp_ptr, comp_verts, comp_ecnt, comp_top, is_cut, visited = tarjan_blocks(
         g.n, g.adj_indptr, g.adj_indices)
     if int(visited) < g.n:
         raise Disconnected(f"graph is disconnected ({int(visited)} of {g.n} reachable)")
@@ -100,6 +92,7 @@ def find_blocks(g: WeightedGraph) -> BlockCutTree:
         block_ptr=np.asarray(comp_ptr),
         block_verts=np.asarray(comp_verts),
         block_edge_counts=np.asarray(comp_ecnt),
+        block_roots=np.asarray(comp_top),
         is_cut=np.asarray(is_cut),
     )
 
@@ -131,17 +124,6 @@ def require_block_graph(g: WeightedGraph) -> BlockCutTree:
             f"block {bad.block_id + 1} ({{{verts}}}) is not a clique",
             block_vertices=bad.vertices)
     return bct
-
-
-def _compute_elimination(bct: BlockCutTree):
-    from ._kernels import eliminate
-    order, roots, ok = eliminate(bct.num_blocks, bct.block_ptr,
-                                 bct.block_verts, bct.is_cut, bct.n)
-    if not ok:
-        raise InternalInconsistency("block-cut tree peel did not consume every block")
-    if bct.num_blocks > 1 and int((roots[order[:-1]] < 0).sum()) > 0:
-        raise InternalInconsistency("a non-final block had no attachment cut vertex")
-    return order, roots
 
 
 def to_dot(bct: BlockCutTree, one_based: bool = True) -> str:

@@ -108,21 +108,27 @@ def build_graph(n: int, weights: Sequence[int], edges) -> WeightedGraph:
         if loops.any():
             v = int(e[int(np.argmax(loops)), 0])
             raise SelfLoop(f"edge ({v}, {v}) is a self loop")
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        keys = lo * n + hi
-        uniq, counts = np.unique(keys, return_counts=True)
-        if uniq.size != m:
-            k = int(uniq[int(np.argmax(counts > 1))])
+        canon = np.empty((m, 2), dtype=np.int64)
+        lo, hi = canon[:, 0], canon[:, 1]
+        np.minimum(e[:, 0], e[:, 1], out=lo)
+        np.maximum(e[:, 0], e[:, 1], out=hi)
+        # one sort of the arc keys src * n + dst gives the CSR, neighbours
+        # ascending; the smallest repeated arc key is the smallest
+        # repeated edge key lo * n + hi
+        arcs = np.empty(2 * m, dtype=np.int64)
+        np.multiply(lo, n, out=arcs[:m])
+        arcs[:m] += hi
+        np.multiply(hi, n, out=arcs[m:])
+        arcs[m:] += lo
+        arcs.sort()
+        repeated = np.flatnonzero(arcs[1:] == arcs[:-1])
+        if repeated.size:
+            k = int(arcs[repeated[0]])
             raise DuplicateEdge(f"edge ({k // n}, {k % n}) appears more than once")
-        canon = np.stack([lo, hi], axis=1)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        deg = np.bincount(src, minlength=n)
+        indices = np.remainder(arcs, n, out=arcs)
+        deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
-        order = np.argsort(src, kind="stable")
-        indices = dst[order]
         max_deg = int(deg.max())
     else:
         canon = np.empty((0, 2), dtype=np.int64)
@@ -175,57 +181,49 @@ def is_dominating_set(g: WeightedGraph, s) -> bool:
 
 
 def has_perfect_matching(g: WeightedGraph, s) -> bool:
-    """True iff the subgraph induced by ``s`` has a perfect matching.
+    """True iff the subgraph that ``s`` induces in the connected block
+    graph ``g`` has a perfect matching; False if an id is outside 0..n-1.
 
-    Backtracking search: repeatedly match the lowest-id unmatched vertex
-    against each unmatched neighbor.  Exponential in the worst case; fine
-    for the oracle-scale sets and solver outputs it is applied to.  The
-    empty set is vacuously matched.
+    Leaf-first greedy over the blocks of :func:`root_blocks`, deepest
+    first: a block's children in ``s`` not yet matched below it can only
+    pair inside the block, so when they are odd in number one of them
+    takes the block's attachment, which must be in ``s`` and still free.
+    With ``|s|`` even this leaves nothing free, the root included.  The
+    empty set is vacuously matched; for another even set, a graph that
+    is not a connected block graph raises Disconnected or NotBlockGraph.
     """
-    members = sorted(set(int(v) for v in s))
-    if len(members) % 2 == 1:
-        return False
+    members = set(int(v) for v in s)
     if not members:
         return True
-    member_set = set(members)
-    nbrs = {
-        v: [int(u) for u in g.neighbors(v) if int(u) in member_set]
-        for v in members
-    }
-    matched = set()
-    # Explicit stack so huge solver outputs cannot hit the recursion limit.
-    stack = []
-    v = members[0]
-    ni = 0
-    while True:
-        advanced = False
-        while ni < len(nbrs[v]):
-            u = nbrs[v][ni]
-            ni += 1
-            if u not in matched:
-                matched.add(v)
-                matched.add(u)
-                if len(matched) == len(members):
-                    return True
-                stack.append((v, ni, u))
-                v = next(x for x in members if x not in matched)
-                ni = 0
-                advanced = True
-                break
-        if advanced:
-            continue
-        if not stack:
-            return False
-        v, ni, u = stack.pop()
-        matched.discard(v)
-        matched.discard(u)
+    if len(members) % 2 or min(members) < 0 or max(members) >= g.n:
+        return False
+    from .rooted import root_blocks     # rooted imports this module
+    rb = root_blocks(g, 0)
+    free = [False] * g.n
+    for v in members:
+        free[v] = True
+    ptr = rb.block_ptr.tolist()
+    kids = rb.kids.tolist()
+    attach = rb.attach.tolist()
+    for b in range(rb.num_blocks - 1, -1, -1):
+        odd = False
+        for v in kids[ptr[b]:ptr[b + 1]]:
+            if free[v]:
+                free[v] = False
+                odd = not odd
+        if odd:
+            a = attach[b]
+            if not free[a]:
+                return False
+            free[a] = False
+    return True
 
 
 def is_paired_dominating_set(g: WeightedGraph, s) -> bool:
     """Dominating set whose induced subgraph has a perfect matching.
 
     The empty set never paired-dominates a nonempty graph; for n=0 the
-    empty set qualifies.
+    empty set qualifies.  A set with an id outside 0..n-1 does not.
     """
     members = set(int(v) for v in s)
     if g.n == 0:

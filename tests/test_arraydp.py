@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from pairdom import (Disconnected, NotBlockGraph, build_graph,
                      chain_of_triangles, find_blocks, format_instance,
-                     is_dominating_set, oracle_min_pds, random_block_graph, solve)
+                     has_perfect_matching, is_dominating_set,
+                     is_paired_dominating_set, oracle_min_pds,
+                     random_block_graph, solve)
 from pairdom import arraydp
 from pairdom.blocks import require_block_graph
 from pairdom.rooted import root_blocks
@@ -23,9 +25,11 @@ from conftest import check_vertex_states, clique_graph, cycle_graph
 
 def _block_graph_matched(g, members):
     """Perfect matching of the subgraph that ``members`` induce in the
-    block graph ``g``, by leaf-first greedy over the pendant order: a
+    block graph ``g``, by leaf-first greedy over Tarjan's pendant order: a
     set vertex left unmatched when its block is removed can only pair
-    inside that block, with another such vertex or with the block's root."""
+    inside that block, with another such vertex or with the block's root.
+    A reference for :func:`has_perfect_matching`, which runs the same
+    greedy over the blocks of ``root_blocks``."""
     bct = find_blocks(g)
     in_set = set(members)
     matched = set()
@@ -178,21 +182,41 @@ def test_solve_on_large_graphs(g, optimum):
     assert len(vset) % 2 == 0
     assert is_dominating_set(g, vset.members)
     assert _block_graph_matched(g, vset.members)
+    assert has_perfect_matching(g, vset.members)
     hub = int(np.argmax(np.diff(g.adj_indptr)))
     for root in (g.n - 1, g.n // 2, hub):
         other, w = solve(g, final_root=root)
         assert w == weight
         assert other.total_weight == w and _block_graph_matched(g, other.members)
+        assert has_perfect_matching(g, other.members)
+    # the answer with one vertex swapped for one outside it, matched or not
+    rng = np.random.default_rng(g.n)
+    outside = np.setdiff1d(np.arange(g.n), vset.members)
+    for _ in range(40):
+        s = (set(vset.members) - {int(rng.choice(vset.members))}) | {int(rng.choice(outside))}
+        assert has_perfect_matching(g, s) == _block_graph_matched(g, s)
     check_vertex_states(g, 0, _small_subtrees(g, 0))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_check_is_fast_on_random_400_block_graphs(seed):
+    """The output check on graphs where a backtracking matcher took
+    seconds to minutes: now one linear pass."""
+    g = random_block_graph(400, 5, 100, seed=seed)
+    vset, _ = solve(g)
+    assert is_paired_dominating_set(g, vset)
+    assert _block_graph_matched(g, vset.members)
+
+
 def test_solve_path_loads_no_scalar_kernels(tmp_path):
-    """``pairdom solve --json`` on a file, parsing included, loads neither
-    the per-block kernels, the line-by-line parser, numba nor scipy."""
+    """``pairdom solve --json`` and ``solve --json --check`` on a file,
+    parsing and the output check included, load neither the per-block
+    kernels, the line-by-line parser, numba nor scipy."""
     path = tmp_path / "chain.pd"
     path.write_text(format_instance(chain_of_triangles(3)))
     code = ("import sys; from pairdom.cli import main; "
             f"assert main(['solve', {str(path)!r}, '--json']) == 0; "
+            f"assert main(['solve', {str(path)!r}, '--json', '--check']) == 0; "
             "print(sorted(m for m in ('pairdom._kernels', 'pairdom._linewise', "
             "'numba', 'scipy') "
             "if m in sys.modules))")

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairdom import (DuplicateEdge, OutOfRange, SelfLoop, WeightOverflow,
-                     build_graph, has_perfect_matching, is_connected,
-                     is_dominating_set, is_paired_dominating_set,
-                     random_block_graph)
+from pairdom import (DuplicateEdge, NotBlockGraph, OutOfRange, SelfLoop,
+                     WeightOverflow, build_graph, chain_of_triangles,
+                     has_perfect_matching, is_connected, is_dominating_set,
+                     is_paired_dominating_set, random_block_graph)
 from pairdom.weights import MAX_TOTAL_WEIGHT
 
-from conftest import clique_graph, path_graph
+from conftest import clique_graph, cycle_graph, path_graph
 
 
 def test_build_k2():
@@ -111,10 +111,23 @@ def test_has_perfect_matching_basics():
 
 
 def test_has_perfect_matching_needs_backtracking():
-    # path 0-1-2-3: greedy pairing (0,1) then (2,3) works, but on the star
-    # plus edge below the lowest vertex must skip its first neighbor
+    # the path 2-0-1-3: pairing the lowest vertex with its first neighbor
+    # (0,1) strands 2 and 3; the leaf-first greedy pairs the leaves first
     g = build_graph(4, [1] * 4, [(0, 1), (0, 2), (1, 3)])
     assert has_perfect_matching(g, {0, 1, 2, 3})     # pairs (0,2),(1,3)
+
+
+def test_has_perfect_matching_rejects_non_block_graph():
+    with pytest.raises(NotBlockGraph):
+        has_perfect_matching(cycle_graph(4), {0, 1, 2, 3})
+
+
+def test_ids_outside_graph_are_not_matched():
+    g = chain_of_triangles(2)                        # vertices 0..4
+    for s in ({0, 1, 2, 5}, {-1, 0}, {-1, 5}):
+        assert not has_perfect_matching(g, s)
+        assert not is_paired_dominating_set(g, s)
+    assert is_paired_dominating_set(g, {1, 2})
 
 
 def test_is_paired_dominating_set():
@@ -145,11 +158,12 @@ def _all_matchings_cover(g, members):
     return False
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), data=st.data())
-def test_has_perfect_matching_matches_enumeration(seed, data):
-    g = random_block_graph(3, 4, 5, seed=seed)
-    size = min(g.n, 8)
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), nb=st.integers(1, 8), ms=st.integers(2, 5),
+       data=st.data())
+def test_has_perfect_matching_matches_enumeration(seed, nb, ms, data):
+    g = random_block_graph(nb, ms, 5, seed=seed)
+    size = g.n if g.n <= 14 else 8
     subset = data.draw(st.sets(st.integers(0, size - 1), max_size=size))
     assert has_perfect_matching(g, subset) == _all_matchings_cover(g, subset)
 
