@@ -67,6 +67,8 @@ def main() -> int:
     parser.add_argument("--instances", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.instances < 1 or args.seed < 0:
+        parser.error("--instances must be at least 1 and --seed at least 0")
     bad = 0
     for i in range(args.instances):
         seed = args.seed + i

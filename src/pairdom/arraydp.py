@@ -33,16 +33,22 @@ min-plus linear in those of any one child.  The vertices are split into
 heavy paths (each vertex continues its path into the child with the
 largest subtree), and the paths are handled in rounds, deepest light
 depth first, so a path's light children are done before it.  Within a
-round the folds run as segmented pairwise reductions, and each path is a
-chain of 4x4 min-plus matrices, evaluated by recursive pairing.  A vertex
-lies below at most log2(n) light edges, so there are O(log n) rounds of
-O(log n) numpy steps each, and O(n) work in all.
+round, the folds and the paths share one pairing of neighbours within
+segments, level by level, and a segment drops out once it is down to
+one element (:func:`_levels`).  The folds multiply the pairs.  Along a path, x_j =
+M_j x_(j+1) with M_j a 4x4 min-plus step matrix: :func:`_paths` composes
+the pairs upward, applies the one matrix left per path to the weights
+below it, and undoes the levels downward.  A vertex lies below at most
+log2(n) light edges, so there are O(log n) rounds of O(log n) numpy
+steps each, and O(n) work in all.
 
 Reconstruction runs the rounds again top down.  Each choice takes the
-first minimum in a fixed order: the pair order of the folds, and the
-order of :func:`_path_combos` along a path.  A path's states follow from
-its top's state by composing per-vertex choice maps, again by recursive
-pairing.  All sums saturate at ``INFEASIBLE``.
+first minimum in a fixed order: the pair order of the folds, and along a
+path the order of :func:`_path_combos`'s ways.  A path vertex's table
+holds the first cheapest way to each of its states; the heavy child's
+state in each way makes a map on the four states, and :func:`_paths`
+carries the top's state down these maps, run over the reversed path.
+All sums saturate at ``INFEASIBLE``.
 """
 
 from __future__ import annotations
@@ -101,11 +107,11 @@ STATE_H = np.array([HI, HN, HO, HE])                # vertex state -> H entry
 def _path_combos():
     """The ways (s, a, g, y) a path vertex reaches state s: with entry a
     of the H of its other blocks, entry g of the F of its heavy block's
-    light children, and its heavy child in state y.  Returns the a and g
-    of each way, in the order that breaks ties; the ways of each code
-    4 s + y, padded with -1; and for the step matrix, the distinct sets of
-    sums 4 a + g (16 standing for INF) that feed a row, with the set of
-    each row 4 s + y."""
+    light children, and its heavy child in state y.  Returns the a, g and
+    y of each way, sorted stably by (s, y) so that the first cheapest way
+    breaks ties, and where the ways of each s start; and for the step
+    matrix, the distinct sets of sums 4 a + g (16 standing for INF) that
+    feed a row, with the set of each row 4 s + y."""
     out = []
     for s in range(4):
         for a, b in H.pairs[STATE_H[s]]:
@@ -113,17 +119,16 @@ def _path_combos():
                 for g, y in F.pairs[f]:
                     if (s, a, g, y) not in out:
                         out.append((s, a, g, y))
+    out.sort(key=lambda way: (way[0], way[3]))
     s, a, g, y = (np.array(col) for col in zip(*out))
-    by_code = [np.flatnonzero(4 * s + y == c).tolist() for c in range(16)]
-    width = max(len(c) for c in by_code)
-    by_code = np.array([c + [-1] * (width - len(c)) for c in by_code])
     feeds = [tuple(sorted(set((4 * a + g)[4 * s + y == c].tolist()))) or (16,)
              for c in range(16)]
     unique = list(dict.fromkeys(feeds))
-    return a, g, by_code, unique, np.array([unique.index(f) for f in feeds])
+    return (a, g, y.astype(np.uint8), np.searchsorted(s, np.arange(5)), unique,
+            np.array([unique.index(f) for f in feeds]))
 
 
-_CA, _CG, _BY_CODE, _FEEDS, _FEED_ROW = _path_combos()
+_WA, _WG, _WY, _WAYS_OF, _FEEDS, _FEED_ROW = _path_combos()
 _MAX = np.iinfo(np.int64).max
 _SHIFT = 2 * np.arange(4, dtype=np.uint8)[:, None]
 
@@ -133,17 +138,18 @@ _SHIFT = 2 * np.arange(4, dtype=np.uint8)[:, None]
 _CHUNK = 2048       # columns per call of a kernel below: in cache, small temporaries
 
 
-def _chunked(kernel, rows, *args):
-    """``kernel(out, *args)`` over column chunks of a new (rows, N) array;
-    arguments other than arrays pass whole."""
+def _chunked(f, *args):
+    """``f(*args)`` over chunks of ``_CHUNK`` columns (the last axis) of
+    its array arguments, joined; other arguments pass whole."""
     n = args[0].shape[-1]
-    out = np.empty((rows, n), dtype=np.int64)
     if n <= _CHUNK:
-        kernel(out, *args)
-        return out
+        return f(*args)
+    out = None
     for lo in range(0, n, _CHUNK):
-        kernel(out[:, lo:lo + _CHUNK], *(a[..., lo:lo + _CHUNK] if isinstance(a, np.ndarray)
-                                          else a for a in args))
+        part = f(*(a[..., lo:lo + _CHUNK] if isinstance(a, np.ndarray) else a for a in args))
+        if out is None:
+            out = np.empty(part.shape[:-1] + (n,), dtype=part.dtype)
+        out[..., lo:lo + _CHUNK] = part
     return out
 
 
@@ -159,92 +165,128 @@ def _heads(x):
     return out
 
 
-def _segments(seg):
-    """Offset of each element within its segment, and whether it is the
-    segment's last."""
-    n = seg.shape[0]
-    pos = np.arange(n)
-    head = _heads(seg)
-    last = np.empty(n, dtype=bool)
-    last[:-1] = head[1:]
-    last[-1:] = True
-    return pos - np.maximum.accumulate(np.where(head, pos, 0)), last
+def _levels(seg):
+    """Pair neighbours within the segments of ``seg`` (runs of equal
+    values), level by level, until every segment is down to one element.
+    Returns per level the elements alone in their segment (done there),
+    the kept elements of the other segments (even offsets), the kept ones
+    that have a right partner, their indices (the left partners), and the
+    segment of each element; and the segments left at the top."""
+    levels = []
+    while True:
+        edge = np.ones(seg.shape[0] + 1, dtype=bool)    # a segment starts or ends here
+        np.not_equal(seg[1:], seg[:-1], out=edge[1:-1])
+        head, last = edge[:-1], edge[1:]
+        if last.all():
+            return levels, seg
+        alone = head & last
+        pos = np.arange(seg.shape[0])
+        off = pos - np.maximum.accumulate(np.where(head, pos, 0))
+        keep = (~alone & (off % 2 == 0)).nonzero()[0]
+        paired = ~last[keep]
+        levels.append((alone.nonzero()[0], keep, paired, keep[paired], seg))
+        seg = seg[keep]
 
 
-def _product(out, a, b, m):
+def _product(a, b, m):
     """Columnwise product of (4, N) weight arrays in the monoid ``m``."""
-    np.minimum.reduceat(a[m.x] + b[m.y], m.start, axis=0, out=out)
-    _sat(out)
+    return _sat(np.minimum.reduceat(a[m.x] + b[m.y], m.start, axis=0))
 
 
-def _split(out, a, b, z, m):
+def _split(a, b, z, m):
     """For each column i, the first pair (x, y) for z[i] that minimises
     a[x, i] + b[y, i], as the pair's index in ``m``."""
     cost = a[m.x] + b[m.y]
-    cost[m.z[:, None] != z[0]] = _MAX
-    out[0] = cost.argmin(axis=0)
+    cost[m.z[:, None] != z] = _MAX
+    return cost.argmin(axis=0)
 
 
 def _fold(x, seg, nseg, m):
     """Fold the columns of ``x`` (4, N) within segments ``seg`` (sorted,
-    in [0, nseg)) in the monoid ``m``, pairing neighbours until one column
-    is left per segment.  Returns the (4, nseg) totals, ``m.one`` for empty
-    segments, and the levels :func:`_unfold` needs."""
-    levels = []
-    while True:
-        off, last = _segments(seg)
-        if last.all():
-            break
-        keep = (off % 2 == 0).nonzero()[0]
-        paired = ~last[keep]
-        left = keep[paired]
-        y = x[:, keep]
-        y[:, paired] = _chunked(_product, 4, x[:, left], x[:, left + 1], m)
-        levels.append((keep, paired, x))
-        x, seg = y, seg[keep]
-    if seg.shape[0] == nseg:        # no segment is empty
-        return x, (levels, seg)
+    in [0, nseg)) in the monoid ``m``.  Returns the (4, nseg) totals,
+    ``m.one`` for empty segments, and what :func:`_unfold` needs."""
+    levels, top = _levels(seg)
     out = np.repeat(m.one[:, None], nseg, axis=1)
-    out[:, seg] = x
-    return out, (levels, seg)
+    xs = []
+    for done, keep, paired, left, seg in levels:
+        out[:, seg[done]] = x[:, done]
+        xs.append(x)
+        y = x[:, keep]
+        y[:, paired] = _chunked(_product, x[:, left], x[:, left + 1], m)
+        x = y
+    out[:, top] = x
+    return out, (levels, xs, top)
 
 
 def _unfold(folded, target, m):
     """Per-column choices of a fold, given the chosen entry of each
     segment's total."""
-    levels, seg = folded
-    t = target[seg]
-    for keep, paired, x in reversed(levels):
+    levels, xs, top = folded
+    t = target[top]
+    for (done, keep, paired, left, seg), x in zip(reversed(levels), reversed(xs)):
         down = np.empty(x.shape[1], dtype=np.intp)
+        down[done] = target[seg[done]]
         down[keep] = t
-        left = keep[paired]
-        pick = _chunked(_split, 1, x[:, left], x[:, left + 1], t[None, paired], m)[0]
+        pick = _chunked(_split, x[:, left], x[:, left + 1], t[paired], m)
         down[left] = m.x[pick]
         down[left + 1] = m.y[pick]
         t = down
     return t
 
 
-def _matmul(out, a, b):
+def _paths(take, compose, apply, seg, end):
+    """Values along paths, the segments of ``seg``: x_j = op_j(x_(j+1))
+    within a path, and x beyond a path's last op is ``end[..., seg]``.
+    ``take(idx)`` gives the ops at columns ``idx``, ``compose(a, b)`` the
+    op a(b(.)) and ``apply(a, x)`` the value a(x); ops and values are
+    arrays over their last axis.  The pairs of each level are composed
+    upward until one op is left per path, and the levels are undone
+    downward: that op is applied to the path's end, and a right
+    partner's op to the value of the next kept element of its path, or
+    to the path's end."""
+    levels, top = _levels(seg)
+    takes = []
+    for done, keep, paired, left, _ in levels:
+        takes.append(take)
+        pairs = _chunked(lambda i: compose(take(i), take(i + 1)), left)
+        ops = np.empty(pairs.shape[:-1] + keep.shape, dtype=pairs.dtype)
+        ops[..., paired] = pairs
+        ops[..., ~paired] = take(keep[~paired])
+        take = lambda i, ops=ops: ops[..., i]
+    x = _chunked(lambda i, e: apply(take(i), e), np.arange(top.shape[0]), end[..., top])
+    for (done, keep, paired, left, seg), take in zip(reversed(levels), reversed(takes)):
+        kseg = seg[keep]
+        below = end[..., kseg]
+        nxt = (kseg[1:] == kseg[:-1]).nonzero()[0]
+        below[..., nxt] = x[..., nxt + 1]
+        down = np.empty(end.shape[:-1] + seg.shape, dtype=end.dtype)
+        down[..., keep] = x
+        at = np.concatenate((done, left + 1))       # ops done here, and right partners
+        arg = np.concatenate((end[..., seg[done]], below[..., paired]), axis=-1)
+        down[..., at] = _chunked(lambda i, e: apply(take(i), e), at, arg)
+        x = down
+    return x
+
+
+def _matmul(a, b):
     """Columnwise product of 4x4 min-plus matrices stored as (16, N)."""
     a = a.reshape(4, 4, -1)
     b = b.reshape(4, 4, -1)
-    out = out.reshape(4, 4, -1)
-    np.add(a[:, 0, None], b[0], out=out)
+    out = a[:, 0, None] + b[0]
     for k in range(1, 4):
         np.minimum(out, a[:, k, None] + b[k], out=out)
-    _sat(out)
+    return _sat(out).reshape(16, -1)
 
 
-def _matvec(out, a, x):
+def _matvec(a, x):
     a = a.reshape(4, 4, -1)
-    np.add(a[:, 0], x[0], out=out)
+    out = a[:, 0] + x[0]
     for k in range(1, 4):
         np.minimum(out, a[:, k] + x[k], out=out)
-    _sat(out)
+    return _sat(out)
 
 
-def _step_matrix(out, hp, g, w):
+def _step_matrix(hp, g, w):
     """Matrix from a path vertex's heavy child's weights to its own,
     given the H of its other blocks, the F of its heavy block's other
     children and its own weight."""
@@ -256,118 +298,41 @@ def _step_matrix(out, hp, g, w):
         row[...] = sums[first]
         for f in rest:
             np.minimum(row, sums[f], out=row)
-    np.take(rows, _FEED_ROW, axis=0, out=out)
+    out = rows[_FEED_ROW]
     out[8:] += w
-    _sat(out)
-
-
-def _next_state(out, hp, g, x):
-    """Coded map from each state of a path vertex to the state of its
-    heavy child that reaches it most cheaply (the first on ties)."""
-    m = np.empty((16, x.shape[1]), dtype=np.int64)
-    _step_matrix(m, hp, g, np.zeros(x.shape[1], dtype=np.int64))
-    best = (m.reshape(4, 4, -1) + x[None]).argmin(axis=1)
-    out[0] = (best << _SHIFT).sum(axis=0)
-
-
-def _path_choice(out, hp, g, code):
-    """For path vertices in state s whose heavy child is in state y
-    (``code`` = 4 s + y): the first cheapest combo of the other blocks'
-    H entry and the heavy block's F entry, as (a, g)."""
-    combo = _BY_CODE[code[0]].T
-    cols = np.arange(code.shape[1])
-    cost = hp[_CA[combo], cols] + g[_CG[combo], cols]
-    cost[combo < 0] = _MAX
-    pick = combo[cost.argmin(axis=0), cols]
-    out[0] = _CA[pick]
-    out[1] = _CG[pick]
-
-
-def _step_matrix_of(hp, g, w):
-    out = np.empty((16, w.shape[0]), dtype=np.int64)
-    _step_matrix(out, hp, g, w)
-    return out
-
-
-def _matrices(source, idx):
-    """Matrices ``idx`` of a chain level: stored as ``(mats,)``, or built
-    by :func:`_step_matrix` from ``(hp, g, w)``."""
-    if len(source) == 1:
-        return source[0][:, idx]
-    hp, g, w = source
-    return _step_matrix_of(hp[:, idx], g[:, idx], w[idx])
-
-
-def _pair_products(out, ev, od, source):
-    _matmul(out, _matrices(source, ev), _matrices(source, od))
-
-
-def _apply(out, idx, x, source):
-    _matvec(out, _matrices(source, idx), x)
+    return _sat(out)
 
 
 def _chain(hp, g, w, seg, tail):
-    """Weights along heavy paths: x_j = M_j x_(j+1) within each path, and
-    x below a path's last matrix is ``tail[:, seg]``; M_j is the step
-    matrix of column j.  Each level sets aside the last matrix of every
-    odd-length path, applied to the tail, and multiplies the rest in
-    neighbouring pairs; the levels are then undone.  The first level's
-    matrices are built once if they fit in one chunk, and otherwise as
-    they are needed, a chunk at a time."""
-    source = (hp, g, w)
+    """Weights along heavy paths: x_j = M_j x_(j+1) within each path, M_j
+    the step matrix of column j, and x below a path's last matrix
+    ``tail[:, seg]``.  The matrices are built once if they fit in one
+    chunk, and otherwise as they are needed, a chunk at a time."""
     if seg.shape[0] <= _CHUNK:
-        source = (_step_matrix_of(hp, g, w),)
-    levels = []
-    while seg.shape[0]:
-        off, last = _segments(seg)
-        is_peel = last & (off % 2 == 0)
-        peel = is_peel.nonzero()[0]
-        x_peel = _chunked(_apply, 4, peel, tail[:, seg[peel]], source)
-        tail = tail.copy()
-        tail[:, seg[peel]] = x_peel
-        rest = (~is_peel).nonzero()[0]
-        ev, od = rest[::2], rest[1::2]
-        levels.append((seg, peel, x_peel, ev, od, source, tail))
-        source = (_chunked(_pair_products, 16, ev, od, source),)
-        seg = seg[ev]
-    x = np.empty((4, 0), dtype=np.int64)
-    for seg, peel, x_peel, ev, od, source, tail in reversed(levels):
-        pair_seg = seg[ev]
-        below = tail[:, pair_seg]
-        nxt = (pair_seg[1:] == pair_seg[:-1]).nonzero()[0]    # next pair, same path
-        below[:, nxt] = x[:, nxt + 1]
-        up = np.empty((4, seg.shape[0]), dtype=np.int64)
-        up[:, ev] = x
-        up[:, od] = _chunked(_apply, 4, od, below, source)
-        up[:, peel] = x_peel
-        x = up
-    return x
+        mats = _step_matrix(hp, g, w)
+        return _paths(lambda i: mats[:, i], _matmul, _matvec, seg, tail)
+    return _paths(lambda i: _step_matrix(hp[:, i], g[:, i], w[i]), _matmul, _matvec, seg, tail)
 
 
-def _then(f, g):
+def _compose_maps(f, g):
     """Maps on the four states, coded as f(0) + 4 f(1) + 16 f(2) + 64 f(3)
-    in uint8, composed columnwise: first ``f``, then ``g``."""
-    return np.bitwise_or.reduce((g >> 2 * (f >> _SHIFT & 3) & 3) << _SHIFT, axis=0)
+    in uint8, composed columnwise: f(g(.))."""
+    return np.bitwise_or.reduce((f >> 2 * (g >> _SHIFT & 3) & 3) << _SHIFT, axis=0)
 
 
-def _map_scan(phi, seg):
-    """Inclusive prefix compositions of the coded maps ``phi`` within
-    segments, earliest map applied first."""
-    off, last = _segments(seg)
-    if last.all():
-        return phi
-    keep = (off % 2 == 0).nonzero()[0]
-    paired = ~last[keep]
-    left = keep[paired]
-    y = phi[keep]
-    y[paired] = _then(phi[left], phi[left + 1])
-    pre = _map_scan(y, seg[keep])
-    out = np.empty_like(phi)
-    out[left + 1] = pre[paired]
-    first = off[keep] == 0
-    out[keep[first]] = phi[keep[first]]
-    rest = (~first).nonzero()[0]
-    out[keep[rest]] = _then(pre[rest - 1], phi[keep[rest]])
+def _apply_maps(f, s):
+    return f >> 2 * s & 3
+
+
+def _choices(hp, g, x):
+    """For each state of a path vertex, the first cheapest way to reach
+    it, given the H of its other blocks, the F of its heavy block's light
+    children and its heavy child's weights ``x``."""
+    out = np.empty((4, x.shape[1]), dtype=np.uint8)
+    for s, (lo, hi) in enumerate(zip(_WAYS_OF[:-1], _WAYS_OF[1:])):
+        cost = hp[_WA[lo:hi]] + g[_WG[lo:hi]]
+        cost += x[_WY[lo:hi]]
+        out[s] = lo + cost.argmin(axis=0)
     return out
 
 
@@ -518,19 +483,20 @@ class TreePlan:
         for r in range(self.rounds):
             rd = self.round(r, val)
             mid = rd.mid
-            hp, g = rd.hp[:, mid], rd.g
-            if mid.size:
-                hm = rd.heavy[mid]
-                seg = rd.seg[mid]
-                tops = rd.verts[_heads(rd.seg)]
-                phi = _chunked(_next_state, 1, hp, g, val[:, hm])[0].astype(np.uint8)
-                state[hm] = _map_scan(phi, seg) >> 2 * state[tops][seg] & 3
-            s = state[rd.verts]
-            a = STATE_H[s]
             block_t = np.empty(rd.owner.shape[0], dtype=np.intp)
             if mid.size:
-                code = 4 * s[mid] + state[hm]
-                a[mid], block_t[rd.heavy_block] = _chunked(_path_choice, 2, hp, g, code[None])
+                hm = rd.heavy[mid]
+                way = _chunked(_choices, rd.hp[:, mid], rd.g, val[:, hm])
+                maps = np.bitwise_or.reduce(_WY[way] << _SHIFT, axis=0)[::-1]
+                tops = rd.verts[_heads(rd.seg)]
+                state[hm[::-1]] = _paths(lambda i: maps[i], _compose_maps, _apply_maps,
+                                         rd.seg[mid][::-1], state[tops])
+            s = state[rd.verts]
+            a = STATE_H[s]
+            if mid.size:
+                pick = way[s[mid], np.arange(mid.shape[0])]
+                a[mid] = _WA[pick]
+                block_t[rd.heavy_block] = _WG[pick]
             ht = _unfold(rd.h_fold, a, H)
             ft = np.where(ht == HO, OI, np.where(ht == HI, EI, EN))
             he = (ht == HE).nonzero()[0]

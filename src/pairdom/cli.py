@@ -115,6 +115,19 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _at_least(lo):
+    """An argparse type: an integer no smaller than ``lo``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairdom",
@@ -129,24 +142,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="differential test: solver vs brute force")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--max-blocks", type=int, default=4)
-    p.add_argument("--max-size", type=int, default=4)
-    p.add_argument("--wmax", type=int, default=100)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--instances", type=_at_least(1), default=100)
+    p.add_argument("--max-blocks", type=_at_least(1), default=4)
+    p.add_argument("--max-size", type=_at_least(2), default=4)
+    p.add_argument("--wmax", type=_at_least(1), default=100)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--max-size", type=int, default=3)
-    p.add_argument("--wmax", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--blocks", type=_at_least(1), required=True)
+    p.add_argument("--max-size", type=_at_least(2), default=3)
+    p.add_argument("--wmax", type=_at_least(1), default=10)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="time the solver on a triangle chain")
-    p.add_argument("--chain", type=int, required=True, help="number of triangles")
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--chain", type=_at_least(1), required=True, help="number of triangles")
+    p.add_argument("--repeat", type=_at_least(1), default=3)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("decompose", help="print blocks, cut vertices, order")

@@ -2,6 +2,7 @@
 at sizes the oracle cannot reach, and its rejections against Tarjan's
 decomposition."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from pairdom import (Disconnected, NotBlockGraph, build_graph,
                      random_block_graph, solve)
 from pairdom import arraydp
 from pairdom.blocks import require_block_graph
+from pairdom.oracle import enumerate_block_graphs
 from pairdom.rooted import root_blocks
 from pairdom.weights import INFEASIBLE as INF
 
@@ -225,18 +227,43 @@ def test_solve_path_loads_no_scalar_kernels(tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+def _with_chunk(chunk, f, *args):
+    """``f(*args)`` with the kernels' column chunk set to ``chunk``."""
+    saved = arraydp._CHUNK
+    arraydp._CHUNK = chunk
+    try:
+        return f(*args)
+    finally:
+        arraydp._CHUNK = saved
+
+
 @pytest.mark.parametrize("g", [chain_of_triangles(40), random_block_graph(300, 6, 50, seed=15),
                                random_block_graph(300, 2, 50, seed=16)],
                          ids=lambda g: f"n{g.n}")
 def test_chunking_changes_nothing(g):
     """Splitting the kernels' columns into chunks of 3 gives the same set."""
-    expected = solve(g)
-    chunk = arraydp._CHUNK
-    arraydp._CHUNK = 3
-    try:
-        assert solve(g) == expected
-    finally:
-        arraydp._CHUNK = chunk
+    assert _with_chunk(3, solve, g) == solve(g)
+
+
+# sha256 of the sets solve returns at every root, one line of members per
+# root: among sets of equal weight the choice is fixed, and a changed
+# tie-break changes these
+TIE_ORDER = [
+    (lambda: enumerate_block_graphs(7),
+     "9daa99349afadad68c9f7fd472bffe059ca28a0c3319bb83200120b3a55d9266"),
+    (lambda: [random_block_graph(200, 6, 1, seed=14)],
+     "456986bc73e40c7ea81440e862ef118a4b9225bd174fe835d1d6bb8c5c2dad2d"),
+]
+
+
+@pytest.mark.parametrize("graphs, digest", TIE_ORDER, ids=["enum7", "unit200"])
+def test_tie_order_is_pinned(graphs, digest):
+    """Among sets of equal weight, solve keeps returning the same one."""
+    h = hashlib.sha256()
+    for g in graphs():
+        for root in range(g.n):
+            h.update((" ".join(map(str, solve(g, final_root=root)[0].members)) + "\n").encode())
+    assert h.hexdigest() == digest
 
 
 def test_stats():
@@ -286,7 +313,10 @@ def test_fold_matches_sequential_product(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_chain_matches_sequential_products(data):
-    lengths = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
+    """The path evaluator on step matrices, with each path's end below
+    it, against multiplying the matrices in one at a time.  With chunks
+    of 3 columns, the first level's matrices are built as needed."""
+    lengths = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=4)) + [1, 2]
     k = sum(lengths)
     small = st.one_of(st.integers(0, 30), st.just(INF))
     hp = np.array([[data.draw(small) for _ in range(k)] for _ in range(4)], dtype=np.int64)
@@ -294,30 +324,36 @@ def test_chain_matches_sequential_products(data):
     w = np.array([data.draw(st.integers(0, 30)) for _ in range(k)], dtype=np.int64)
     tail = np.array([[data.draw(small) for _ in lengths] for _ in range(4)], dtype=np.int64)
     seg = np.repeat(np.arange(len(lengths)), lengths)
-    got = arraydp._chain(hp, g, w, seg, tail)
-    m = np.empty((16, k), dtype=np.int64)
-    arraydp._step_matrix(m, hp, g, w)
-    start = 0
-    for s, n in enumerate(lengths):
-        x = tail[:, s].tolist()
-        for j in reversed(range(start, start + n)):
-            x = [min(min(int(m[4 * i + y, j]) + x[y] for y in range(4)), INF)
-                 for i in range(4)]
-            assert got[:, j].tolist() == x
-        start += n
+    m = arraydp._step_matrix(hp, g, w)
+    for chunk in (arraydp._CHUNK, 3):
+        got = _with_chunk(chunk, arraydp._chain, hp, g, w, seg, tail)
+        start = 0
+        for s, n in enumerate(lengths):
+            x = tail[:, s].tolist()
+            for j in reversed(range(start, start + n)):
+                x = [min(min(int(m[4 * i + y, j]) + x[y] for y in range(4)), INF)
+                     for i in range(4)]
+                assert got[:, j].tolist() == x
+            start += n
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_map_scan_matches_sequential_composition(data):
-    lengths = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=4))
+    """The path evaluator on coded state maps, run over the reversed
+    paths with each path's end above it as the reconstruction runs it,
+    against applying the maps one at a time from each start state."""
+    lengths = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=4)) + [1, 2]
     codes = [data.draw(st.integers(0, 255)) for _ in range(sum(lengths))]
     seg = np.repeat(np.arange(len(lengths)), lengths)
-    got = arraydp._map_scan(np.array(codes, dtype=np.uint8), seg)
-    start = 0
-    for n in lengths:
-        acc = list(range(4))
-        for j in range(start, start + n):
-            acc = [(codes[j] >> (2 * acc[s])) & 3 for s in range(4)]
-            assert [(int(got[j]) >> (2 * s)) & 3 for s in range(4)] == acc
-        start += n
+    rev = np.array(codes, dtype=np.uint8)[::-1]
+    for chunk, top in [(arraydp._CHUNK, t) for t in range(4)] + [(3, 1)]:
+        got = _with_chunk(chunk, arraydp._paths, lambda i: rev[i], arraydp._compose_maps,
+                          arraydp._apply_maps, seg[::-1], np.full(len(lengths), top))[::-1]
+        start = 0
+        for n in lengths:
+            state = top
+            for j in range(start, start + n):
+                state = (codes[j] >> (2 * state)) & 3
+                assert got[j] == state
+            start += n

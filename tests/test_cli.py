@@ -300,6 +300,26 @@ def test_cli_bench_smoke(capsys):
     assert "time" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--chain", "10", "--repeat", "0"],
+    ["bench", "--chain", "0"],
+    ["gen", "--blocks", "0"],
+    ["gen", "--blocks", "3", "--max-size", "1"],
+    ["gen", "--blocks", "3", "--wmax", "0"],
+    ["verify", "--max-blocks", "0"],
+    ["verify", "--max-size", "1"],
+    ["verify", "--instances", "-3"],
+    ["verify", "--seed", "-1"],
+    ["gen", "--blocks", "3", "--seed", "-1"],
+    ["gen", "--blocks", "three"],
+], ids=" ".join)
+def test_cli_rejects_out_of_range_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- scripts
 
 @pytest.mark.parametrize("args", [["soak_verify.py", "--instances", "20"],
@@ -309,3 +329,14 @@ def test_script_runs(args):
     script = Path(__file__).resolve().parents[1] / "scripts" / args[0]
     subprocess.run([sys.executable, str(script), *args[1:]], check=True,
                    capture_output=True, timeout=300)
+
+
+@pytest.mark.parametrize("args", [["bench_scaling.py", "--repeat", "0"],
+                                  ["soak_verify.py", "--instances", "0"],
+                                  ["soak_verify.py", "--seed", "-1"]], ids=" ".join)
+def test_script_rejects_out_of_range_arguments(args):
+    script = Path(__file__).resolve().parents[1] / "scripts" / args[0]
+    run = subprocess.run([sys.executable, str(script), *args[1:]],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "usage:" in run.stderr
