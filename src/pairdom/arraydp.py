@@ -42,12 +42,16 @@ below it, and undoes the levels downward.  A vertex lies below at most
 log2(n) light edges, so there are O(log n) rounds of O(log n) numpy
 steps each, and O(n) work in all.
 
-Reconstruction runs the rounds again top down.  Each choice takes the
+Reconstruction reads back what the sweep chose.  Each choice takes the
 first minimum in a fixed order: the pair order of the folds, and along a
-path the order of :func:`_path_combos`'s ways.  A path vertex's table
-holds the first cheapest way to each of its states; the heavy child's
-state in each way makes a map on the four states, and :func:`_paths`
-carries the top's state down these maps, run over the reversed path.
+path the order of :func:`_path_combos`'s ways.  The sweep records them
+once, in uint8: per level of each fold the first cheapest pair for each
+target, per path vertex the first cheapest way to each of its states,
+and per block that is not heavy the cheapest of EN, EP and EI.  The
+rounds then run top down with gathers only.  The heavy child's state in
+each way makes a map on the four states, and :func:`_paths` carries the
+top's state down these maps, run over the reversed path; the folds are
+undone level by level from their recorded pairs.
 All sums saturate at ``INFEASIBLE``.
 """
 
@@ -79,15 +83,14 @@ HE, HO, HI, HN = 0, 1, 2, 3
 class _Monoid:
     """A min-plus product over a four-element monoid: out[z] is the least
     a[x] + b[y] over the pairs (x, y) listed for z, ties going to the
-    first listed.  ``one`` is its identity."""
+    first listed.  ``one`` is its identity; ``x`` and ``y`` hold the
+    pairs in order, so that a pair's index gives its two factors."""
 
     def __init__(self, pairs, one):
         self.pairs = pairs
         self.one = np.array(one, dtype=np.int64)
         self.x = np.array([x for zp in pairs for x, _ in zp])
         self.y = np.array([y for zp in pairs for _, y in zp])
-        self.z = np.repeat(np.arange(4), [len(zp) for zp in pairs])
-        self.start = np.r_[0, np.cumsum([len(zp) for zp in pairs])[:-1]]
 
 
 F = _Monoid((((EN, EN),),
@@ -129,7 +132,6 @@ def _path_combos():
 
 
 _WA, _WG, _WY, _WAYS_OF, _FEEDS, _FEED_ROW = _path_combos()
-_MAX = np.iinfo(np.int64).max
 _SHIFT = 2 * np.arange(4, dtype=np.uint8)[:, None]
 
 
@@ -140,7 +142,8 @@ _CHUNK = 2048       # columns per call of a kernel below: in cache, small tempor
 
 def _chunked(f, *args):
     """``f(*args)`` over chunks of ``_CHUNK`` columns (the last axis) of
-    its array arguments, joined; other arguments pass whole."""
+    its array arguments, joined; other arguments pass whole.  Each chunk
+    of an array is a view, so what ``f`` writes to one lands in it."""
     n = args[0].shape[-1]
     if n <= _CHUNK:
         return f(*args)
@@ -188,46 +191,57 @@ def _levels(seg):
         seg = seg[keep]
 
 
-def _product(a, b, m):
-    """Columnwise product of (4, N) weight arrays in the monoid ``m``."""
-    return _sat(np.minimum.reduceat(a[m.x] + b[m.y], m.start, axis=0))
-
-
-def _split(a, b, z, m):
-    """For each column i, the first pair (x, y) for z[i] that minimises
-    a[x, i] + b[y, i], as the pair's index in ``m``."""
-    cost = a[m.x] + b[m.y]
-    cost[m.z[:, None] != z] = _MAX
-    return cost.argmin(axis=0)
+def _product(a, b, best, m):
+    """Columnwise product of (4, N) weight arrays in the monoid ``m``.
+    Also writes to ``best`` (4, N) the first cheapest pair for each entry,
+    as the pair's index in ``m``."""
+    out = np.empty(a.shape, dtype=np.int64)
+    cost = np.empty(a.shape[1], dtype=np.int64)
+    less = np.empty(a.shape[1], dtype=bool)
+    i = 0
+    for total, pick, ((x, y), *rest) in zip(out, best, m.pairs):
+        np.add(a[x], b[y], out=total)
+        pick.fill(i)
+        for x, y in rest:
+            i += 1
+            np.add(a[x], b[y], out=cost)
+            np.less(cost, total, out=less)
+            np.minimum(total, cost, out=total)
+            np.putmask(pick, less, i)
+        i += 1
+    return _sat(out)
 
 
 def _fold(x, seg, nseg, m):
     """Fold the columns of ``x`` (4, N) within segments ``seg`` (sorted,
     in [0, nseg)) in the monoid ``m``.  Returns the (4, nseg) totals,
-    ``m.one`` for empty segments, and what :func:`_unfold` needs."""
+    ``m.one`` for empty segments, and what :func:`_unfold` needs: per
+    level the segments, the kept and the left elements and, for each left
+    one and each target, its first cheapest pair (uint8); and the
+    segments at the top."""
     levels, top = _levels(seg)
     out = np.repeat(m.one[:, None], nseg, axis=1)
-    xs = []
+    picks = []
     for done, keep, paired, left, seg in levels:
         out[:, seg[done]] = x[:, done]
-        xs.append(x)
         y = x[:, keep]
-        y[:, paired] = _chunked(_product, x[:, left], x[:, left + 1], m)
+        best = np.empty((4, left.shape[0]), dtype=np.uint8)
+        y[:, paired] = _chunked(_product, x[:, left], x[:, left + 1], best, m)
+        picks.append((seg, keep, left, best))
         x = y
     out[:, top] = x
-    return out, (levels, xs, top)
+    return out, (picks, top)
 
 
 def _unfold(folded, target, m):
     """Per-column choices of a fold, given the chosen entry of each
     segment's total."""
-    levels, xs, top = folded
+    picks, top = folded
     t = target[top]
-    for (done, keep, paired, left, seg), x in zip(reversed(levels), reversed(xs)):
-        down = np.empty(x.shape[1], dtype=np.intp)
-        down[done] = target[seg[done]]
+    for seg, keep, left, best in reversed(picks):
+        down = target[seg]              # right for the elements done at this level
         down[keep] = t
-        pick = _chunked(_split, x[:, left], x[:, left + 1], t[paired], m)
+        pick = best[down[left], np.arange(left.shape[0])]
         down[left] = m.x[pick]
         down[left + 1] = m.y[pick]
         t = down
@@ -411,96 +425,105 @@ class TreePlan:
         kids = rb.kids[kpos]
         is_light = kids != self.heavy[self.attach_pos[kblock]]
         self.light = kids[is_light]
-        self.light_block = kblock[is_light]
+        self.light_seg = kblock[is_light]
         self.block_bounds = np.searchsorted(self.attach_pos, self.bounds)
-        self.light_bounds = np.searchsorted(self.light_block, self.block_bounds)
+        self.light_bounds = np.searchsorted(self.light_seg, self.block_bounds)
+        # each light child's block, counted from the first block of its round
+        self.light_seg -= np.repeat(self.block_bounds[:-1], np.diff(self.light_bounds))
+        self._picks = None
 
     @property
     def rounds(self) -> int:
         return self.bounds.shape[0] - 1
 
-    def round(self, r: int, val: np.ndarray) -> SimpleNamespace:
-        """Round ``r`` given the weights of every vertex below it:
+    def round(self, r: int) -> SimpleNamespace:
+        """The index slices of round ``r``:
 
         verts, seg, heavy: its path vertices, path by path and each path
             top down; the path of each (from 0); the heavy child of each,
             -1 at a path's bottom.
+        mid: the vertices with a heavy child.
         owner: for each block attached at verts, the index of its attachment.
         heavy_block, other: the blocks holding their attachment's heavy
-            child, and the rest.
-        light: the children of those blocks other than heavy children.
-        f, f_fold: F of each block over its light children, and the fold.
-        hp, h_fold: H of each vertex over its other blocks, and the fold.
-        mid, g: the vertices with a heavy child, and the F of the heavy
-            block of each over that block's light children; the heavy
-            blocks are in the order of their attachments, so g lines up
-            with mid.
+            child, and the rest; the heavy blocks are in the order of
+            their attachments, so they line up with mid.
+        light, light_seg: the children of those blocks other than heavy
+            children, and the block of each.
         """
         lo, hi = self.bounds[r], self.bounds[r + 1]
         b0, b1 = self.block_bounds[r], self.block_bounds[r + 1]
         l0, l1 = self.light_bounds[r], self.light_bounds[r + 1]
-        owner = self.attach_pos[b0:b1] - lo
-        light = self.light[l0:l1]
-        f, f_fold = _fold(val[:, light], self.light_block[l0:l1] - b0, b1 - b0, F)
-        heavy_block = self.is_heavy[b0:b1].nonzero()[0]
-        other = (~self.is_heavy[b0:b1]).nonzero()[0]
-        fo = f[:, other]
-        out = fo[[EN, OI, EI, EN]]                  # the H that each block brings
-        np.minimum(out[HE], np.minimum(fo[EP], fo[EI]), out=out[HE])
-        hp, h_fold = _fold(out, owner[other], hi - lo, H)
         heavy = self.heavy[lo:hi]
+        is_heavy = self.is_heavy[b0:b1]
         return SimpleNamespace(verts=self.verts[lo:hi], seg=np.cumsum(self.new_path[lo:hi]) - 1,
-                               heavy=heavy, mid=(heavy >= 0).nonzero()[0], owner=owner,
-                               heavy_block=heavy_block, other=other, light=light,
-                               f=f, f_fold=f_fold, hp=hp, h_fold=h_fold,
-                               g=f[:, heavy_block])
+                               heavy=heavy, mid=(heavy >= 0).nonzero()[0],
+                               owner=self.attach_pos[b0:b1] - lo,
+                               heavy_block=is_heavy.nonzero()[0], other=(~is_heavy).nonzero()[0],
+                               light=self.light[l0:l1], light_seg=self.light_seg[l0:l1])
 
     def sweep(self, weights: np.ndarray) -> np.ndarray:
-        """Weights (4, n) of every vertex; leaves keep their initial ones."""
+        """Weights (4, n) of every vertex; leaves keep their initial ones.
+
+        Also records, per round, the choices that :meth:`reconstruct`
+        reads back: the first cheapest pairs of both folds, each path
+        vertex's first cheapest way to each state, and which of EN, EP and
+        EI is cheapest for each block that is not heavy."""
         val = np.empty((4, weights.shape[0]), dtype=np.int64)
         val[Q] = INF
         val[R] = 0
         val[P] = INF
         val[D] = weights
+        self._picks = [None] * self.rounds
         for r in reversed(range(self.rounds)):
-            rd = self.round(r, val)
+            rd = self.round(r)
+            f, f_fold = _fold(val[:, rd.light], rd.light_seg, rd.owner.shape[0], F)
+            fo = f[:, rd.other]
+            he = fo[:3].argmin(axis=0).astype(np.uint8)    # the entry each brings to HE
+            out = fo[[EN, OI, EI, EN]]                  # the H that each block brings
+            np.minimum(out[HE], np.minimum(fo[EP], fo[EI]), out=out[HE])
+            hp, h_fold = _fold(out, rd.owner[rd.other], rd.verts.shape[0], H)
             bottom = rd.heavy < 0
             vb = rd.verts[bottom]
-            quad = rd.hp[:, bottom][[HI, HN, HO, HE]]
+            quad = hp[:, bottom][[HI, HN, HO, HE]]
             quad[2:] += weights[vb]
             val[:, vb] = _sat(quad)
+            way = None
             if rd.mid.size:
-                vm = rd.verts[rd.mid]
-                hp, g, seg = rd.hp[:, rd.mid], rd.g, rd.seg[rd.mid]
-                rd = None           # free what the chain does not need
+                heavy, vm = rd.heavy, rd.verts[rd.mid]
+                hp, g, seg = hp[:, rd.mid], f[:, rd.heavy_block], rd.seg[rd.mid]
+                rd = f = fo = out = None        # free what the chain does not need
                 val[:, vm] = _chain(hp, g, weights[vm], seg, val[:, vb])
+                way = _chunked(_choices, hp, g, val[:, heavy[heavy >= 0]])
+            self._picks[r] = (f_fold, h_fold, way, he)
         return val
 
     def reconstruct(self, val: np.ndarray, root: int) -> np.ndarray:
-        """State of every vertex in the optimum, top down from ``root``."""
+        """State of every vertex in the optimum, top down from ``root``,
+        from the choices that the last :meth:`sweep` recorded."""
+        if self._picks is None:
+            raise RuntimeError("TreePlan.reconstruct reads the choices of a sweep: "
+                               "call sweep first")
         state = np.full(val.shape[1], -1, dtype=np.intp)
         state[root] = P if val[P, root] <= val[Q, root] else Q
-        for r in range(self.rounds):
-            rd = self.round(r, val)
+        for r, (f_fold, h_fold, way, he) in enumerate(self._picks):
+            rd = self.round(r)
             mid = rd.mid
             block_t = np.empty(rd.owner.shape[0], dtype=np.intp)
             if mid.size:
-                hm = rd.heavy[mid]
-                way = _chunked(_choices, rd.hp[:, mid], rd.g, val[:, hm])
                 maps = np.bitwise_or.reduce(_WY[way] << _SHIFT, axis=0)[::-1]
                 tops = rd.verts[_heads(rd.seg)]
-                state[hm[::-1]] = _paths(lambda i: maps[i], _compose_maps, _apply_maps,
-                                         rd.seg[mid][::-1], state[tops])
+                state[rd.heavy[mid][::-1]] = _paths(lambda i: maps[i], _compose_maps, _apply_maps,
+                                                    rd.seg[mid][::-1], state[tops])
             s = state[rd.verts]
             a = STATE_H[s]
             if mid.size:
                 pick = way[s[mid], np.arange(mid.shape[0])]
                 a[mid] = _WA[pick]
                 block_t[rd.heavy_block] = _WG[pick]
-            ht = _unfold(rd.h_fold, a, H)
+            ht = _unfold(h_fold, a, H)
             ft = np.where(ht == HO, OI, np.where(ht == HI, EI, EN))
-            he = (ht == HE).nonzero()[0]
-            ft[he] = np.argmin(rd.f[:3, rd.other[he]], axis=0)
+            is_he = ht == HE
+            ft[is_he] = he[is_he]
             block_t[rd.other] = ft
-            state[rd.light] = _unfold(rd.f_fold, block_t, F)
+            state[rd.light] = _unfold(f_fold, block_t, F)
         return state

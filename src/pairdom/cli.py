@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:         # an instance path that is missing, a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PairdomError as exc:

@@ -357,3 +357,78 @@ def test_map_scan_matches_sequential_composition(data):
                 state = (codes[j] >> (2 * state)) & 3
                 assert got[j] == state
             start += n
+
+
+def _reference_unfold(x, seg, target, m):
+    """Fold and unfold as they ran before the sweep recorded its choices:
+    keep each level's columns, and top down evaluate every pair again for
+    its target, the first cheapest pair winning.  Over the same levels as
+    :func:`arraydp._fold`."""
+    z = np.repeat(np.arange(4), [len(zp) for zp in m.pairs])
+    start = np.r_[0, np.cumsum([len(zp) for zp in m.pairs])[:-1]]
+    levels, top = arraydp._levels(seg)
+    xs = []
+    for done, keep, paired, left, _ in levels:
+        xs.append(x)
+        y = x[:, keep]
+        cost = x[:, left][m.x] + x[:, left + 1][m.y]
+        y[:, paired] = np.minimum(np.minimum.reduceat(cost, start, axis=0), INF)
+        x = y
+    t = target[top]
+    for (done, keep, paired, left, seg), x in zip(reversed(levels), reversed(xs)):
+        down = np.empty(x.shape[1], dtype=np.intp)
+        down[done] = target[seg[done]]
+        down[keep] = t
+        cost = x[:, left][m.x] + x[:, left + 1][m.y]
+        cost[z[:, None] != t[paired]] = np.iinfo(np.int64).max
+        pick = cost.argmin(axis=0)
+        down[left] = m.x[pick]
+        down[left + 1] = m.y[pick]
+        t = down
+    return t
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_unfold_matches_reevaluated_pairs(data):
+    """The choices that the folds record give the ones that evaluating
+    every pair again gives, ties included: columns over {0, 1, INF},
+    segments of 0 to 9 columns, every target, in chunks of 3 columns too."""
+    sizes = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=8))
+    m = data.draw(st.sampled_from([arraydp.F, arraydp.H]))
+    entry = st.sampled_from([0, 1, INF])
+    x = np.array([[data.draw(entry) for _ in range(sum(sizes))] for _ in range(4)],
+                 dtype=np.int64).reshape(4, -1)
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    mixed = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(sizes),
+                                        max_size=len(sizes))))
+    for chunk in (arraydp._CHUNK, 3):
+        _, folded = _with_chunk(chunk, arraydp._fold, x, seg, len(sizes), m)
+        for target in [np.full(len(sizes), t) for t in range(4)] + [mixed]:
+            got = arraydp._unfold(folded, target, m)
+            assert got.tolist() == _reference_unfold(x, seg, target, m).tolist()
+
+
+@pytest.mark.parametrize("root", [0, 150, 299])
+def test_reconstruct_replays_the_sweep(root, monkeypatch):
+    """The reconstruction reads the sweep's choices back: with the folds,
+    the product kernel and the path choice table made to raise, it gives
+    the states of an unpatched run."""
+    g = random_block_graph(300, 6, 50, seed=15)
+    plan = arraydp.TreePlan(root_blocks(g, root))
+    want = plan.reconstruct(plan.sweep(g.weights), root)
+    plan = arraydp.TreePlan(root_blocks(g, root))
+    val = plan.sweep(g.weights)
+
+    def fail(*args):
+        raise AssertionError("the reconstruction computed a choice again")
+
+    for name in ("_fold", "_choices", "_product"):
+        monkeypatch.setattr(arraydp, name, fail)
+    assert plan.reconstruct(val, root).tolist() == want.tolist()
+
+
+def test_reconstruct_needs_a_sweep():
+    g = chain_of_triangles(3)
+    with pytest.raises(RuntimeError, match="call sweep first"):
+        arraydp.TreePlan(root_blocks(g, 0)).reconstruct(np.zeros((4, g.n), dtype=np.int64), 0)

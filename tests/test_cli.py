@@ -246,6 +246,13 @@ def test_cli_missing_file(capsys):
     assert main(["solve", "/nonexistent/file.pd"]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "decompose"])
+def test_cli_directory_as_instance(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 # ------------------------------------------------------------- gen and verify
 
 def test_cli_gen_round_trip(tmp_path, capsys):
@@ -323,8 +330,10 @@ def test_cli_rejects_out_of_range_arguments(argv, capsys):
 # -------------------------------------------------------------------- scripts
 
 @pytest.mark.parametrize("args", [["soak_verify.py", "--instances", "20"],
-                                  ["bench_scaling.py", "--max-exp", "10", "--repeat", "1"]],
-                         ids=lambda args: args[0])
+                                  ["bench_scaling.py", "--max-exp", "10", "--repeat", "1"],
+                                  ["bench_scaling.py", "--max-exp", "10", "--repeat", "1",
+                                   "--family", "random"]],
+                         ids=lambda args: " ".join([args[0]] + args[5:]))
 def test_script_runs(args):
     script = Path(__file__).resolve().parents[1] / "scripts" / args[0]
     subprocess.run([sys.executable, str(script), *args[1:]], check=True,
@@ -332,6 +341,8 @@ def test_script_runs(args):
 
 
 @pytest.mark.parametrize("args", [["bench_scaling.py", "--repeat", "0"],
+                                  ["bench_scaling.py", "--max-exp", "9"],
+                                  ["bench_scaling.py", "--max-exp", "-3"],
                                   ["soak_verify.py", "--instances", "0"],
                                   ["soak_verify.py", "--seed", "-1"]], ids=" ".join)
 def test_script_rejects_out_of_range_arguments(args):
