@@ -1,4 +1,5 @@
-"""Blocks, cut vertices, the block-cut tree, and the elimination order."""
+"""Blocks, cut vertices and the block-cut tree: a view of the rooted
+decomposition (:func:`pairdom.rooted.root_blocks`) from vertex 0."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from .errors import Disconnected, NotBlockGraph
 from .graph import WeightedGraph
+from .rooted import root_blocks
 
 
 @dataclass(frozen=True)
@@ -19,21 +21,21 @@ class Block:
 
 @dataclass(eq=False)
 class BlockCutTree:
-    """Decomposition of a connected graph into blocks and cut vertices.
+    """Decomposition of a connected block graph into blocks and cut vertices.
 
-    Array form: ``block_ptr``/``block_verts`` is a CSR over blocks,
-    ``is_cut`` flags articulation points.  Blocks are numbered in the
-    order a depth-first search from vertex 0 completes them, so removing
-    them in id order (``elimination_order``) removes a leaf of the
-    remaining tree each time; ``block_roots[b]`` is the cut vertex that
-    block ``b`` hangs from then (-1 for the last block).
+    Array form: ``block_ptr``/``block_verts`` is a CSR over blocks, and
+    ``is_cut`` flags the vertices in two or more blocks.  Blocks are
+    numbered deepest first, the reverse of the rooted decomposition's
+    order, so removing them in id order (``elimination_order``) removes a
+    leaf of the remaining tree each time; ``block_roots[b]`` is the vertex
+    that block ``b`` hangs from then, its attachment (-1 for the last
+    block, which holds vertex 0).
     """
 
     n: int
     num_blocks: int
     block_ptr: np.ndarray
     block_verts: np.ndarray
-    block_edge_counts: np.ndarray
     block_roots: np.ndarray
     is_cut: np.ndarray
 
@@ -64,66 +66,47 @@ class BlockCutTree:
 
 
 def find_blocks(g: WeightedGraph) -> BlockCutTree:
-    """Biconnected components, articulation points, and the block-cut tree.
+    """Blocks, cut vertices and the block-cut tree of a connected block graph.
 
     Bridges become 2-vertex blocks; a single-vertex graph is one block.
-    Raises :class:`Disconnected` when the graph is not connected.
+    Any other graph raises Disconnected (the empty graph too) or
+    NotBlockGraph, with the witness of :func:`root_blocks`.
     """
     if g.n == 0:
         raise Disconnected("empty graph")
-    from ._kernels import tarjan_blocks    # loads on first use
     if g.n == 1:
-        return BlockCutTree(
-            n=1,
-            num_blocks=1,
-            block_ptr=np.array([0, 1], dtype=np.int64),
-            block_verts=np.array([0], dtype=np.int64),
-            block_edge_counts=np.array([0], dtype=np.int64),
-            block_roots=np.array([-1], dtype=np.int64),
-            is_cut=np.zeros(1, dtype=np.uint8),
-        )
-    comp_ptr, comp_verts, comp_ecnt, comp_top, is_cut, visited = tarjan_blocks(
-        g.n, g.adj_indptr, g.adj_indices)
-    if int(visited) < g.n:
-        raise Disconnected(f"graph is disconnected ({int(visited)} of {g.n} reachable)")
-    return BlockCutTree(
-        n=g.n,
-        num_blocks=int(comp_ptr.shape[0]) - 1,
-        block_ptr=np.asarray(comp_ptr),
-        block_verts=np.asarray(comp_verts),
-        block_edge_counts=np.asarray(comp_ecnt),
-        block_roots=np.asarray(comp_top),
-        is_cut=np.asarray(is_cut),
-    )
+        verts = np.zeros(1, dtype=np.int64)
+        ptr = np.array([0, 1], dtype=np.int64)
+        roots = np.array([-1], dtype=np.int64)
+    else:
+        rb = root_blocks(g, 0)
+        # each block as its attachment then its children; reversing the
+        # whole list numbers the blocks deepest first
+        start = rb.block_ptr + np.arange(rb.num_blocks + 1)
+        verts = np.insert(rb.kids, rb.block_ptr[:-1], rb.attach)[::-1]
+        ptr = (start[-1] - start)[::-1]
+        roots = np.append(rb.attach[:0:-1], -1)
+    return BlockCutTree(n=g.n, num_blocks=int(roots.shape[0]), block_ptr=ptr,
+                        block_verts=verts, block_roots=roots,
+                        is_cut=np.bincount(verts, minlength=g.n) >= 2)
 
 
 def is_block_graph(g: WeightedGraph) -> bool:
-    """True iff every block induces a clique (k vertices, k(k-1)/2 edges)."""
-    return first_non_clique_block(find_blocks(g)) is None
+    """True iff ``g`` is connected and every block induces a clique."""
+    try:
+        find_blocks(g)
+    except (Disconnected, NotBlockGraph):
+        return False
+    return True
 
 
 def first_non_clique_block(bct: BlockCutTree) -> Optional[Block]:
-    """Lowest-id block that is not a clique, or None."""
-    sizes = np.diff(bct.block_ptr)
-    expected = sizes * (sizes - 1) // 2
-    bad = np.nonzero(bct.block_edge_counts != expected)[0]
-    if bad.size == 0:
-        return None
-    b = int(bad[0])
-    return Block(b, tuple(int(v) for v in bct.block_vertices(b)))
+    """Lowest-id block that is not a clique, or None.
 
-
-def require_block_graph(g: WeightedGraph) -> BlockCutTree:
-    """Block-cut tree of ``g``; raises Disconnected, or NotBlockGraph
-    naming the lowest-id block that is not a clique."""
-    bct = find_blocks(g)        # raises Disconnected
-    bad = first_non_clique_block(bct)
-    if bad is not None:
-        verts = " ".join(str(v + 1) for v in sorted(bad.vertices))
-        raise NotBlockGraph(
-            f"block {bad.block_id + 1} ({{{verts}}}) is not a clique",
-            block_vertices=bad.vertices)
-    return bct
+    Always None: :func:`find_blocks` builds no tree for a graph with such
+    a block, and raises NotBlockGraph with a witness instead.
+    """
+    return None
 
 
 def to_dot(bct: BlockCutTree, one_based: bool = True) -> str:

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 invalid input (parse error, disconnected, not a
 block graph, no paired-dominating set, negative weight), 3 differential
 verification mismatch, 1 internal error.
+
+Invalid input prints an ``error:`` line on stderr; ``solve --json`` also
+prints ``{"error", "message", "witness"}`` on stdout, the witness of
+``pairdom.errors`` with 1-based vertex ids, or null.
 """
 
 from __future__ import annotations
@@ -181,6 +185,10 @@ def main(argv=None) -> int:
         return 2
     except PairdomError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if getattr(args, "json", False):
+            w = exc.witness and {k: (np.asarray(ids) + 1).tolist()     # 1-based, as in "set"
+                                 for k, ids in exc.witness.items()}
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc), "witness": w}))
         return 2
 
 

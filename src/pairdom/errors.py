@@ -2,7 +2,15 @@
 
 
 class PairdomError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``witness`` is None or a dict of 0-based vertex ids (ints or lists)
+    that confirms the error independently: see Disconnected, NotBlockGraph.
+    """
+
+    def __init__(self, *args, witness=None):
+        super().__init__(*args)
+        self.witness = witness
 
 
 class OutOfRange(PairdomError):
@@ -22,15 +30,20 @@ class WeightOverflow(PairdomError):
 
 
 class Disconnected(PairdomError):
-    """The graph is not connected."""
+    """The graph is not connected.
+
+    ``witness={"root": r, "unreached": v}``: no path joins v to r (None
+    for the empty graph).
+    """
 
 
 class NotBlockGraph(PairdomError):
-    """Some block of the graph is not a clique."""
+    """Some block of the graph is not a clique.
 
-    def __init__(self, message, block_vertices=None):
-        super().__init__(message)
-        self.block_vertices = block_vertices
+    ``witness={"cycle": [v0, .., vk], "pair": [x, y]}``: a simple cycle of
+    at least four vertices (vk is adjacent to v0) and two vertices on it
+    that are not adjacent.  They lie in one block, which is not a clique.
+    """
 
 
 class NoPairedDominatingSet(PairdomError):

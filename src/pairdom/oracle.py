@@ -8,12 +8,12 @@ shares code with the merge procedures.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .blocks import find_blocks
 from .errors import TooLarge
 from .graph import VertexSet, WeightedGraph, build_graph
 from .solver import StateKind
@@ -140,23 +140,26 @@ def oracle_state(g: WeightedGraph, u: int, kind: StateKind) -> int:
     return INFEASIBLE
 
 
-def _block_tree_certificate(g: WeightedGraph) -> tuple:
-    """Canonical form of a connected block graph.
+def _block_tree_certificate(blocks: tuple) -> tuple:
+    """Canonical form of the connected block graph with these blocks
+    (tuples of vertices).
 
     A block graph is determined up to isomorphism by its block-cut tree
     with blocks labeled by size, so an AHU-style certificate of that
     labeled tree (rooted at the tree's center) is a complete invariant.
     """
-    bct = find_blocks(g)
-    nb = bct.num_blocks
-    cuts = list(bct.cut_vertices)
+    nb = len(blocks)
+    count = Counter(v for blk in blocks for v in blk)
+    cuts = [v for v in count if count[v] > 1]
     cut_index = {c: nb + i for i, c in enumerate(cuts)}
     size = nb + len(cuts)
     nbrs = [[] for _ in range(size)]
-    for b, c in bct.tree_edges():
-        nbrs[b].append(cut_index[c])
-        nbrs[cut_index[c]].append(b)
-    labels = [("B", bct.block_size(b)) for b in range(nb)] + [("C", 0)] * len(cuts)
+    for b, blk in enumerate(blocks):
+        for c in blk:
+            if c in cut_index:
+                nbrs[b].append(cut_index[c])
+                nbrs[cut_index[c]].append(b)
+    labels = [("B", len(blk)) for blk in blocks] + [("C", 0)] * len(cuts)
 
     # tree center by leaf stripping
     deg = [len(x) for x in nbrs]
@@ -194,28 +197,26 @@ def enumerate_block_graphs(n_max: int) -> Iterator[WeightedGraph]:
     if n_max > 8:
         raise TooLarge(f"enumerate_block_graphs is limited to n_max <= 8, got {n_max}")
     found = {}      # certificate -> (n, edge tuple)
-    queue = []
+    queue = []      # (n, edge tuple, block tuple)
     for s in range(2, n_max + 1):
         edges = tuple((i, j) for i in range(s) for j in range(i + 1, s))
-        g = build_graph(s, [1] * s, edges)
-        c = _block_tree_certificate(g)
+        blocks = (tuple(range(s)),)
+        c = _block_tree_certificate(blocks)
         if c not in found:
             found[c] = (s, edges)
-            queue.append((s, edges))
+            queue.append((s, edges, blocks))
     while queue:
-        n, edges = queue.pop(0)
+        n, edges, blocks = queue.pop(0)
         for v in range(n):
             for s in range(2, n_max - n + 2):
-                new_vs = list(range(n, n + s - 1))
-                block = [v] + new_vs
+                block = (v,) + tuple(range(n, n + s - 1))
                 extra = tuple((block[i], block[j])
                               for i in range(len(block))
                               for j in range(i + 1, len(block)))
-                g = build_graph(n + s - 1, [1] * (n + s - 1), edges + extra)
-                c = _block_tree_certificate(g)
+                c = _block_tree_certificate(blocks + (block,))
                 if c not in found:
                     found[c] = (n + s - 1, edges + extra)
-                    queue.append((n + s - 1, edges + extra))
+                    queue.append((n + s - 1, edges + extra, blocks + (block,)))
     ordered = sorted(found.items(), key=lambda kv: (kv[1][0], repr(kv[0])))
     for _, (n, edges) in ordered:
         yield build_graph(n, [1] * n, edges)

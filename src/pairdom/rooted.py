@@ -13,6 +13,11 @@ and those same-parent edges split the children of each parent into
 cliques.  Each clique plus its parent is then one block: the cliques
 cover every edge, and gluing each one to the rest at a single vertex
 builds a tree of cliques.  The check needs no per-block loop.
+
+Each way the check can fail yields a witness, built in O(n + m) on the
+failure path only: a vertex the search did not reach, or a cycle with two
+non-adjacent vertices on it.  Two vertices on one cycle lie in one block,
+so that block is not a clique.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import require_block_graph
-from .errors import InternalInconsistency
+from .errors import Disconnected, NotBlockGraph
 from .graph import WeightedGraph, search_order
 
 
@@ -54,14 +58,19 @@ class RootedBlocks:
 def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
     """Decompose a connected graph on n >= 2 vertices, rooted at ``root``.
 
-    Raises Disconnected or NotBlockGraph through
-    :func:`require_block_graph`, which runs only once a violation has
-    been found, so the messages name what Tarjan's decomposition finds.
+    Raises Disconnected with ``witness={"root", "unreached"}``, a vertex
+    the search from ``root`` did not reach, or NotBlockGraph with
+    ``witness={"cycle", "pair"}``, a cycle of at least four vertices and
+    two non-adjacent vertices on it.
     """
     n = g.n
     order = search_order(g, root)
     if order.shape[0] < n:
-        _reject(g)
+        lost = int(np.argmin(np.bincount(order, minlength=n)))
+        raise Disconnected(
+            f"graph is disconnected: vertex {lost + 1} is not reached from vertex "
+            f"{root + 1} ({order.shape[0]} of {n} reachable)",
+            witness={"root": root, "unreached": lost})
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
     parent = order[np.minimum.reduceat(rank[g.adj_indices], g.adj_indptr[:-1])]
@@ -71,19 +80,40 @@ def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
     u, v = g.edges[:, 0], g.edges[:, 1]
     pu, pv = parent[u], parent[v]
     sib = pu == pv
-    if not (sib | (pu == v) | (pv == u)).all():
-        _reject(g)
+    cross = ~(sib | (pu == v) | (pv == u))
+    if cross.any():
+        i = int(np.argmax(cross))
+        raise _cross_edge(g, rank, parent, int(u[i]), int(v[i]))
     # label each child by the smallest vertex of its sibling clique
     su, sv = u[sib], v[sib]
     label = np.arange(n, dtype=np.int64)
     np.minimum.at(label, su, sv)
     np.minimum.at(label, sv, su)
-    if (label[su] != label[sv]).any():
-        _reject(g)
+    mixed = label[su] != label[sv]
+    if mixed.any():
+        # c = label[a] is a sibling of a that b misses, or b's label
+        # would be c too
+        i = int(np.argmax(mixed))
+        a, b = int(su[i]), int(sv[i])
+        if label[a] > label[b]:
+            a, b = b, a
+        c = int(label[a])
+        raise _not_clique([int(parent[a]), c, a, b], c, b)
     kids = order[1:]
     size = np.bincount(label[kids], minlength=n)
-    if (np.bincount(label[su], minlength=n) != size * (size - 1) // 2).any():
-        _reject(g)
+    short = np.bincount(label[su], minlength=n) != size * (size - 1) // 2
+    if short.any():
+        # every member of group c is adjacent to c, so the member x of
+        # fewest sibling edges is not c, and a member y that x misses is
+        # not c either
+        c = int(np.argmax(short))
+        members = kids[label[kids] == c]
+        degree = np.bincount(su, minlength=n) + np.bincount(sv, minlength=n)
+        x = int(members[np.argmin(degree[members])])
+        near = np.zeros(n, dtype=bool)
+        near[g.neighbors(x)] = near[x] = True
+        y = int(members[~near[members]][0])
+        raise _not_clique([int(parent[x]), x, c, y], x, y)
 
     # blocks: children grouped by (parent rank, label); search order
     # already groups them by parent
@@ -107,8 +137,28 @@ def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
                         block_lo=block_lo, block_hi=block_hi)
 
 
-def _reject(g: WeightedGraph):
-    """Raise the error that the Tarjan decomposition gives for ``g``."""
-    require_block_graph(g)
-    raise InternalInconsistency(
-        "the array decomposition rejected a graph that Tarjan's accepts")
+def _cross_edge(g: WeightedGraph, rank, parent, u: int, v: int) -> NotBlockGraph:
+    """The rejection of an edge (u, v) that is neither a parent nor a
+    sibling edge.  In a breadth-first tree neither end is an ancestor of
+    the other, so the parents lead from u and v up to where they meet and
+    close a cycle through both parents.  u and parent[v] are not adjacent,
+    or else v and parent[u] are not: a parent is the neighbour of smallest
+    rank, so if both pairs were adjacent each would outrank the other."""
+    up, down = [u], [v]
+    while up[-1] != down[-1]:
+        if rank[up[-1]] > rank[down[-1]]:
+            up.append(int(parent[up[-1]]))
+        else:
+            down.append(int(parent[down[-1]]))
+    x, y = u, int(parent[v])
+    if y in g.neighbors(x):
+        x, y = v, int(parent[u])
+    return _not_clique(up + down[-2::-1], x, y)
+
+
+def _not_clique(cycle: list, x: int, y: int) -> NotBlockGraph:
+    """The rejection naming non-adjacent ``x`` and ``y`` on ``cycle``."""
+    return NotBlockGraph(
+        f"vertices {x + 1} and {y + 1} lie on a cycle of {len(cycle)} vertices "
+        "but are not adjacent, so their block is not a clique",
+        witness={"cycle": cycle, "pair": [x, y]})

@@ -1,13 +1,15 @@
-"""Tarjan's block decomposition.
+"""Tarjan's block decomposition, the reference that the package's rooted
+decomposition (``pairdom.rooted.root_blocks``) is tested against, and an
+independent check of the witnesses that come with its rejections.
 
-This backs :func:`pairdom.blocks.find_blocks`, which serves ``pairdom
-decompose``, the oracle's enumerator and the rejection messages of
-:func:`pairdom.solve`; the solve itself decomposes on whole arrays
-(``rooted``).  It runs as plain Python over lists, and ``blocks`` imports
-this module on first use, so importing the package does not compile it.
+Nothing here calls the package's decomposition: the reference runs its
+own depth-first search, and ``check_witness`` reads only the graph's
+edges.
 """
 
 import numpy as np
+
+from pairdom import Disconnected, NotBlockGraph
 
 
 def tarjan_blocks(n, indptr, adj):
@@ -85,3 +87,44 @@ def tarjan_blocks(n, indptr, adj):
     return (np.array(comp_ptr, dtype=np.int64), np.array(comp_verts, dtype=np.int64),
             np.array(comp_ecnt, dtype=np.int64), np.array(comp_top, dtype=np.int64),
             np.array(is_cut, dtype=np.uint8), timer)
+
+
+def reference_rejection(g):
+    """The error class a graph on n >= 2 vertices must be rejected with, or
+    None for a connected block graph: Disconnected if a search from vertex
+    0 misses a vertex, else NotBlockGraph if some block is not a clique."""
+    ptr, _, ecnt, _, _, visited = tarjan_blocks(g.n, g.adj_indptr, g.adj_indices)
+    if visited < g.n:
+        return Disconnected
+    size = np.diff(ptr)
+    return NotBlockGraph if (ecnt != size * (size - 1) // 2).any() else None
+
+
+def check_witness(g, exc):
+    """Assert that the witness of ``exc`` shows why ``g`` is rejected.
+
+    Disconnected: ``unreached`` is a vertex that a search from ``root``
+    does not reach.  NotBlockGraph: ``cycle`` is a cycle of at least four
+    distinct vertices, each adjacent to the next and the last to the
+    first, and ``pair`` is two non-adjacent vertices on it, so that one
+    block holds both and is not a clique.
+    """
+    edges = {frozenset(e) for e in g.edge_list()}
+    w = exc.witness
+    if isinstance(exc, Disconnected):
+        seen = {w["root"]}
+        todo = [w["root"]]
+        while todo:
+            for x in g.neighbors(todo.pop()).tolist():
+                if x not in seen:
+                    seen.add(x)
+                    todo.append(x)
+        assert 0 <= w["unreached"] < g.n and w["unreached"] not in seen, w
+    else:
+        assert isinstance(exc, NotBlockGraph), exc
+        cycle, (x, y) = w["cycle"], w["pair"]
+        assert len(cycle) >= 4 and len(set(cycle)) == len(cycle), w
+        assert all(frozenset((cycle[i - 1], cycle[i])) in edges
+                   for i in range(len(cycle))), w
+        assert x in cycle and y in cycle and x != y, w
+        assert frozenset((x, y)) not in edges, w

@@ -1,6 +1,6 @@
 """The whole-array solve: its pieces against loop references, its answers
-at sizes the oracle cannot reach, and its rejections against Tarjan's
-decomposition."""
+at sizes the oracle cannot reach, and its decomposition and rejections
+against Tarjan's (``tarjan``), each rejection with a checked witness."""
 
 import hashlib
 import subprocess
@@ -17,12 +17,12 @@ from pairdom import (Disconnected, NotBlockGraph, build_graph,
                      is_paired_dominating_set, oracle_min_pds,
                      random_block_graph, solve)
 from pairdom import arraydp
-from pairdom.blocks import require_block_graph
 from pairdom.oracle import enumerate_block_graphs
 from pairdom.rooted import root_blocks
 from pairdom.weights import INFEASIBLE as INF
 
 from conftest import check_vertex_states, clique_graph, cycle_graph
+from tarjan import check_witness, reference_rejection, tarjan_blocks
 
 
 def _block_graph_matched(g, members):
@@ -32,13 +32,12 @@ def _block_graph_matched(g, members):
     inside that block, with another such vertex or with the block's root.
     A reference for :func:`has_perfect_matching`, which runs the same
     greedy over the blocks of ``root_blocks``."""
-    bct = find_blocks(g)
+    ptr, verts, _, top, _, _ = tarjan_blocks(g.n, g.adj_indptr, g.adj_indices)
     in_set = set(members)
     matched = set()
-    for b in bct.elimination_order:
-        root = int(bct.block_roots[b])
-        free = [int(v) for v in bct.block_vertices(b)
-                if int(v) != root and int(v) in in_set and int(v) not in matched]
+    for b, root in enumerate(top.tolist()):
+        free = [v for v in verts[ptr[b]:ptr[b + 1]].tolist()
+                if v != root and v in in_set and v not in matched]
         matched.update(free)
         if len(free) % 2:
             if root < 0 or root not in in_set or root in matched:
@@ -58,10 +57,14 @@ def test_root_blocks_match_tarjan(seed, nb, ms, data):
     rb = root_blocks(g, root)
     mine = {frozenset([int(rb.attach[b])] + rb.kids[rb.block_ptr[b]:rb.block_ptr[b + 1]].tolist())
             for b in range(rb.num_blocks)}
-    bct = find_blocks(g)
-    assert mine == {frozenset(bct.block_vertices(b).tolist()) for b in range(bct.num_blocks)}
-    assert rb.num_blocks == bct.num_blocks
+    ptr, verts, _, _, is_cut, _ = tarjan_blocks(g.n, g.adj_indptr, g.adj_indices)
+    assert mine == {frozenset(verts[ptr[b]:ptr[b + 1]].tolist()) for b in range(len(ptr) - 1)}
+    assert rb.num_blocks == len(ptr) - 1
     assert int(rb.order[0]) == root and rb.parent[root] == -1
+    # the view from vertex 0: the same blocks, and the same cut vertices
+    bct = find_blocks(g)
+    assert {frozenset(bct.block_vertices(b).tolist()) for b in range(bct.num_blocks)} == mine
+    assert bct.is_cut.tolist() == is_cut.astype(bool).tolist()
 
 
 def _cycle_through_cliques(draw):
@@ -113,12 +116,13 @@ def _rejected_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(g=_rejected_graphs(), data=st.data())
 def test_rejection_matches_tarjan(g, data):
-    with pytest.raises((Disconnected, NotBlockGraph)) as expected:
-        require_block_graph(g)
-    root = data.draw(st.integers(0, g.n - 1))
-    with pytest.raises(type(expected.value)) as got:
-        solve(g, final_root=root)
-    assert str(got.value) == str(expected.value)
+    expected = reference_rejection(g)
+    assert expected is not None
+    for root in data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3,
+                                   unique=True)):
+        with pytest.raises(expected) as got:
+            solve(g, final_root=root)
+        check_witness(g, got.value)
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,21 +131,48 @@ def test_random_graphs_accepted_or_rejected_like_tarjan(n, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     g = build_graph(n, [1] * n, edges)
-    try:
-        require_block_graph(g)
-    except (Disconnected, NotBlockGraph) as exc:
-        with pytest.raises(type(exc)) as got:
-            solve(g)
-        assert str(got.value) == str(exc)
+    root = data.draw(st.integers(0, n - 1))
+    expected = reference_rejection(g)
+    if expected is None:
+        assert solve(g, final_root=root)[1] == oracle_min_pds(g)[1]
     else:
-        assert solve(g)[1] == oracle_min_pds(g)[1]
+        with pytest.raises(expected) as got:
+            solve(g, final_root=root)
+        check_witness(g, got.value)
 
 
 def test_rejection_messages():
-    with pytest.raises(NotBlockGraph, match=r"block 1 \(\{1 2 3 4\}\) is not a clique"):
+    with pytest.raises(NotBlockGraph, match=r"^vertices 3 and 1 lie on a cycle of 4 "
+                       r"vertices but are not adjacent, so their block is not a clique$"):
         solve(cycle_graph(4))
-    with pytest.raises(Disconnected, match="disconnected"):
+    with pytest.raises(Disconnected, match=r"^graph is disconnected: vertex 3 is not "
+                       r"reached from vertex 1 \(2 of 4 reachable\)$") as got:
         solve(build_graph(4, [1] * 4, [(0, 1), (2, 3)]))
+    assert got.value.witness == {"root": 0, "unreached": 2}
+
+
+def _k4_without(edge):
+    return build_graph(4, [1] * 4, [e for e in clique_graph(4).edge_list() if e != edge])
+
+
+# One graph per way root_blocks can fail, rooted at 0, with its witness:
+# an edge that is neither a parent nor a sibling edge (u, v) gives the
+# cycle through both parents and the pair (u, parent[v]), or (v,
+# parent[u]) when u is adjacent to parent[v]; an edge between siblings
+# with different labels, or a sibling group short of edges, gives a
+# diamond.
+@pytest.mark.parametrize("g, witness", [
+    (cycle_graph(4), {"cycle": [2, 1, 0, 3], "pair": [2, 0]}),
+    (cycle_graph(6), {"cycle": [3, 2, 1, 0, 5, 4], "pair": [3, 5]}),
+    (_k4_without((0, 3)), {"cycle": [2, 0, 1, 3], "pair": [3, 0]}),
+    (_k4_without((1, 3)), {"cycle": [0, 1, 2, 3], "pair": [1, 3]}),
+    (_k4_without((2, 3)), {"cycle": [0, 2, 1, 3], "pair": [2, 3]}),
+], ids=["cross-c4", "cross-c6", "cross-other-pair", "mixed-labels", "short-group"])
+def test_witness_of_each_rejection(g, witness):
+    with pytest.raises(NotBlockGraph) as got:
+        root_blocks(g, 0)
+    assert got.value.witness == witness
+    check_witness(g, got.value)
 
 
 def test_final_root_out_of_range():
@@ -212,15 +243,19 @@ def test_check_is_fast_on_random_400_block_graphs(seed):
 
 def test_solve_path_loads_no_scalar_kernels(tmp_path):
     """``pairdom solve --json`` and ``solve --json --check`` on a file,
-    parsing and the output check included, load neither the per-block
-    kernels, the line-by-line parser, numba nor scipy."""
+    parsing and the output check included, ``solve --json`` on a rejected
+    file and ``decompose`` on a good one load neither the line-by-line
+    parser, numba nor scipy."""
     path = tmp_path / "chain.pd"
     path.write_text(format_instance(chain_of_triangles(3)))
+    bad = tmp_path / "c4.pd"
+    bad.write_text(format_instance(cycle_graph(4)))
     code = ("import sys; from pairdom.cli import main; "
             f"assert main(['solve', {str(path)!r}, '--json']) == 0; "
             f"assert main(['solve', {str(path)!r}, '--json', '--check']) == 0; "
-            "print(sorted(m for m in ('pairdom._kernels', 'pairdom._linewise', "
-            "'numba', 'scipy') "
+            f"assert main(['solve', {str(bad)!r}, '--json']) == 2; "
+            f"assert main(['decompose', {str(path)!r}]) == 0; "
+            "print(sorted(m for m in ('pairdom._linewise', 'numba', 'scipy') "
             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout

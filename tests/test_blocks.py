@@ -1,16 +1,18 @@
-"""Block decomposition, block-graph recognition, and the elimination order."""
+"""The block-cut tree view of the rooted decomposition, block-graph
+recognition, and the elimination order."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairdom import (Disconnected, build_graph, find_blocks,
+from pairdom import (Disconnected, NotBlockGraph, build_graph, find_blocks,
                      first_non_clique_block, is_block_graph,
                      random_block_graph, to_dot)
 
 from conftest import (GOLDEN_PENDANT_SETS, assert_valid_elimination,
                       clique_graph, cycle_graph, path_graph)
+from tarjan import check_witness
 
 
 def _block_sets(bct):
@@ -39,8 +41,12 @@ def test_single_vertex():
 
 
 def test_disconnected_rejected():
+    g = build_graph(4, [1] * 4, [(0, 1), (2, 3)])
+    with pytest.raises(Disconnected) as got:
+        find_blocks(g)
+    check_witness(g, got.value)
     with pytest.raises(Disconnected):
-        find_blocks(build_graph(4, [1] * 4, [(0, 1), (2, 3)]))
+        find_blocks(build_graph(0, [], []))
 
 
 def test_golden_decomposition(golden):
@@ -58,11 +64,16 @@ def test_golden_decomposition(golden):
 def test_is_block_graph(golden):
     assert is_block_graph(golden)
     assert not is_block_graph(cycle_graph(4))
+    # block graphs are connected
+    assert not is_block_graph(build_graph(4, [1] * 4, [(0, 1), (2, 3)]))
+    assert not is_block_graph(build_graph(0, [], []))
     # any tree is a block graph (every block is an edge)
     tree = build_graph(6, [1] * 6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
     assert is_block_graph(tree)
-    bad = first_non_clique_block(find_blocks(cycle_graph(4)))
-    assert bad is not None and len(bad.vertices) == 4
+    assert first_non_clique_block(find_blocks(golden)) is None
+    with pytest.raises(NotBlockGraph) as got:
+        find_blocks(cycle_graph(4))
+    check_witness(cycle_graph(4), got.value)
 
 
 def test_tree_blocks_are_edges():

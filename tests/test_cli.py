@@ -10,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
+import pairdom
 from pairdom import (ParseError, chain_of_triangles, format_instance, parse_instance,
                      random_block_graph)
 from pairdom import _linewise, instance_io
 from pairdom.cli import main
 
 from conftest import golden_graph
+from tarjan import check_witness
 
 K2_TEXT = """c tiny example
 p pdom 2 1
@@ -202,9 +204,34 @@ def test_cli_solve_check_json(tmp_path, capsys):
 def test_cli_solve_rejects_non_block_graph(tmp_path, capsys):
     path = _write(tmp_path, "c4.pd", C4_TEXT)
     assert main(["solve", path]) == 2
-    err = capsys.readouterr().err
-    assert "not a clique" in err
-    assert "1 2 3 4" in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: vertices 3 and 1 lie on a cycle of 4 vertices but are "
+                   "not adjacent, so their block is not a clique\n")
+
+
+DISCONNECTED_TEXT = "p pdom 4 2\nw 1 1\nw 2 1\nw 3 1\nw 4 1\ne 1 2\ne 3 4\n"
+
+
+@pytest.mark.parametrize("text, error, witness", [
+    (C4_TEXT, "NotBlockGraph", {"cycle": [3, 2, 1, 4], "pair": [3, 1]}),
+    (DISCONNECTED_TEXT, "Disconnected", {"root": 1, "unreached": 3}),
+], ids=["c4", "disconnected"])
+def test_cli_solve_json_error_carries_witness(tmp_path, capsys, text, error, witness):
+    path = _write(tmp_path, "bad.pd", text)
+    assert main(["solve", path, "--json"]) == 2
+    out, err = capsys.readouterr()
+    data = json.loads(out)
+    assert data == {"error": error, "message": err[len("error: "):-1], "witness": witness}
+    zero_based = {k: [v - 1 for v in ids] if isinstance(ids, list) else ids - 1
+                  for k, ids in witness.items()}
+    check_witness(parse_instance(text), getattr(pairdom, error)("", witness=zero_based))
+
+
+def test_cli_solve_json_error_without_witness(tmp_path, capsys):
+    path = _write(tmp_path, "one.pd", "p pdom 1 0\nw 1 4\n")
+    assert main(["solve", path, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["witness"] is None
 
 
 def test_cli_solve_rejects_single_vertex(tmp_path, capsys):
@@ -214,8 +241,7 @@ def test_cli_solve_rejects_single_vertex(tmp_path, capsys):
 
 
 def test_cli_solve_rejects_disconnected(tmp_path, capsys):
-    text = "p pdom 4 2\nw 1 1\nw 2 1\nw 3 1\nw 4 1\ne 1 2\ne 3 4\n"
-    path = _write(tmp_path, "disc.pd", text)
+    path = _write(tmp_path, "disc.pd", DISCONNECTED_TEXT)
     assert main(["solve", path]) == 2
     assert "disconnected" in capsys.readouterr().err
 
@@ -294,10 +320,26 @@ def test_cli_decompose(tmp_path, capsys):
     assert "order:" in out
 
 
+def test_cli_decompose_numbers_blocks_deepest_first(tmp_path, capsys):
+    path = _write(tmp_path, "p3.pd", "p pdom 3 2\nw 1 1\nw 2 1\nw 3 1\ne 1 2\ne 2 3\n")
+    assert main(["decompose", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "blocks 2", "cut-vertices 1", "block 1: 2 3", "block 2: 1 2", "cuts: 2",
+        "order: 1 2"]
+
+
 def test_cli_decompose_dot(tmp_path, capsys):
     path = _write(tmp_path, "g.pd", format_instance(golden_graph()))
     assert main(["decompose", path, "--dot"]) == 0
     assert capsys.readouterr().out.startswith("graph")
+
+
+@pytest.mark.parametrize("flags", [[], ["--dot"]], ids=["text", "dot"])
+def test_cli_decompose_rejects_non_block_graph(tmp_path, capsys, flags):
+    path = _write(tmp_path, "c4.pd", C4_TEXT)
+    assert main(["decompose", path] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: vertices 3 and 1 lie on a cycle")
 
 
 def test_cli_bench_smoke(capsys):
