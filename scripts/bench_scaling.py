@@ -4,7 +4,11 @@
 Doubles the instance size across a range and reports solve time per
 block, so deviations from linear scaling are visible at a glance, and
 the seconds of each stage of that solve: decomposition, sweep and
-reconstruction.  The ``chain`` family (the default) solves
+reconstruction.  It then times what ``pairdom solve --check`` runs: a
+solve that also returns its pairing, then the certificate check of
+``is_paired_dominating_set``.  ``check_s`` is the check's seconds and
+``+check`` the share that solve and check together add to the plain
+solve.  The ``chain`` family (the default) solves
 ``chain_of_triangles(2**exp)``: one heavy path, so the reconstruction is
 its smallest share.  The ``random`` family solves
 ``random_block_graph(2**exp, 12, 100, seed=exp)``: blocks of 2 to 12
@@ -22,7 +26,7 @@ Usage:
 import argparse
 import time
 
-from pairdom import chain_of_triangles, random_block_graph, solve
+from pairdom import chain_of_triangles, is_paired_dominating_set, random_block_graph, solve
 
 STAGES = ("decompose_s", "sweep_s", "reconstruct_s")     # seconds that solve's stats report
 FAMILIES = {      # the instance of 2**exp blocks
@@ -36,16 +40,19 @@ def run(family: str, max_exp: int, repeat: int) -> None:
     make = FAMILIES[family]
     solve(make(2))      # one-time costs of a first call stay untimed
     print(f"{'blocks':>10} {'n':>10} {'time[s]':>10} {'ns/block':>10} "
-          + " ".join(f"{k:>13}" for k in STAGES))
+          + " ".join(f"{k:>13}" for k in STAGES) + f" {'check_s':>10} {'+check':>7}")
     prev = None
     for exp in range(MIN_EXP, max_exp + 1):
         blocks = 2 ** exp
         g = make(exp)
-        best, stats = min((_timed_solve(g) for _ in range(repeat)), key=lambda run: run[0])
+        runs = [(_timed_solve(g), _timed_check(g)) for _ in range(repeat)]   # interleaved
+        best, stats = min((plain for plain, _ in runs), key=lambda run: run[0])
+        checked, check = min(with_check for _, with_check in runs)
         rate = best / blocks * 1e9
         growth = "" if prev is None else f"  x{best / prev:.2f}"
         stages = " ".join(f"{stats[k]:>13.4f}" for k in STAGES)
-        print(f"{blocks:>10} {g.n:>10} {best:>10.4f} {rate:>10.1f} {stages}{growth}")
+        print(f"{blocks:>10} {g.n:>10} {best:>10.4f} {rate:>10.1f} {stages} "
+              f"{check:>10.4f} {checked / best - 1:>+7.1%}{growth}")
         prev = best
 
 
@@ -55,6 +62,18 @@ def _timed_solve(g):
     t0 = time.perf_counter()
     solve(g, stats=stats)
     return time.perf_counter() - t0, stats
+
+
+def _timed_check(g):
+    """Wall time of a solve that returns its pairs followed by the
+    certificate check, and of the check alone."""
+    t0 = time.perf_counter()
+    vset, _, pairs = solve(g, pairs=True)
+    t1 = time.perf_counter()
+    if not is_paired_dominating_set(g, vset, pairs):
+        raise SystemExit(f"the certificate check failed on n={g.n}")
+    t2 = time.perf_counter()
+    return t2 - t0, t2 - t1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Long-running differential soak: solver vs brute force vs state oracle.
 
-Heavier than `pairdom verify`: every instance is also swept from two
-roots, its first and its last vertex, and each vertex's four state
-weights are checked against the brute-force state oracle on the subgraph
-below that vertex, so a disagreement names the root, vertex and state
-where it starts.
+Like `pairdom verify`, it compares each answer's weight with brute force
+and checks the pairing certificate that comes with it.  It is heavier:
+every instance is also swept from two roots, its first and its last
+vertex, and each vertex's four state weights are checked against the
+brute-force state oracle on the subgraph below that vertex, so a
+disagreement names the root, vertex and state where it starts.
 
 Usage:
   python3 scripts/soak_verify.py --instances 2000
@@ -50,13 +51,13 @@ def state_problems(g, root: int) -> list:
 def check_instance(seed: int) -> list:
     nb, ms = FAMILIES[seed % len(FAMILIES)]
     g = random_block_graph(nb, ms, 100, seed=seed)
-    vset, weight = solve(g)
+    vset, weight, pairs = solve(g, pairs=True)
     problems = []
     ref = oracle_min_pds(g)
     if ref is None or ref[1] != weight:
         problems.append(f"weight {weight} != oracle {ref and ref[1]}")
-    if not is_paired_dominating_set(g, vset):
-        problems.append("output is not a paired-dominating set")
+    if not is_paired_dominating_set(g, vset, pairs):
+        problems.append("output is not a paired-dominating set with the pairing given")
     for root in (0, g.n - 1):
         problems += state_problems(g, root)
     return problems

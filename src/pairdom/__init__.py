@@ -12,8 +12,6 @@ from .errors import (Disconnected, DuplicateEdge, InternalInconsistency,
                      NoPairedDominatingSet, NotBlockGraph, OutOfRange,
                      PairdomError, ParseError, SelfLoop, TooLarge,
                      WeightOverflow)
-from .generator import (GENERATOR_ALGORITHM, chain_of_triangles,
-                        random_block_graph)
 from .graph import (VertexSet, WeightedGraph, build_graph,
                     has_perfect_matching, is_connected, is_dominating_set,
                     is_paired_dominating_set)
@@ -22,10 +20,10 @@ from .instance_io import (format_instance, load_instance, parse_instance,
 from .solver import StateKind, solve
 from .weights import INFEASIBLE, is_feasible
 
-# The brute-force oracle loads on first use: solving does not need it, and
-# compiling it would add to every import of the package.
-_LAZY = dict.fromkeys(
-    ("enumerate_block_graphs", "oracle_min_pds", "oracle_state"), "oracle")
+# The brute-force oracle and the generator load on first use: solving needs
+# neither, and compiling them would add to every import of the package.
+_LAZY = {**dict.fromkeys(("enumerate_block_graphs", "oracle_min_pds", "oracle_state"), "oracle"),
+         **dict.fromkeys(("GENERATOR_ALGORITHM", "chain_of_triangles", "random_block_graph"), "generator")}
 
 
 def __getattr__(name):

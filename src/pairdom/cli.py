@@ -4,14 +4,19 @@ Exit codes: 0 success, 2 invalid input (parse error, disconnected, not a
 block graph, no paired-dominating set, negative weight), 3 differential
 verification mismatch, 1 internal error.
 
-Invalid input prints an ``error:`` line on stderr; ``solve --json`` also
-prints ``{"error", "message", "witness"}`` on stdout, the witness of
+Invalid input, or an instance path that cannot be read, prints an
+``error:`` line on stderr; ``solve --json`` also prints
+``{"error", "message", "witness"}`` on stdout, the witness of
 ``pairdom.errors`` with 1-based vertex ids, or null.
+
+The solve path loads neither the generator nor the oracle: the commands
+that need them import them when they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -20,7 +25,6 @@ import numpy as np
 
 from .blocks import find_blocks, to_dot
 from .errors import InternalInconsistency, PairdomError, TooLarge
-from .generator import GENERATOR_ALGORITHM, chain_of_triangles, random_block_graph
 from .graph import is_paired_dominating_set
 from .instance_io import format_instance, load_instance
 from .solver import solve
@@ -29,16 +33,21 @@ from .solver import solve
 def _cmd_solve(args) -> int:
     g = load_instance(args.file)
     stats = {}
-    vset, weight = solve(g, stats=stats)
+    pairs = None
     if args.check:
-        if not is_paired_dominating_set(g, vset):
+        vset, weight, pairs = solve(g, stats=stats, pairs=True)
+        if not is_paired_dominating_set(g, vset, pairs):
             raise InternalInconsistency("output failed the paired-domination check")
         if vset.total_weight != weight:
             raise InternalInconsistency("output weight mismatch")
+    else:
+        vset, weight = solve(g, stats=stats)
     members = [v + 1 for v in vset]
     if args.json:
-        print(json.dumps({"weight": weight, "set": members, "n": g.n,
-                          "blocks": stats["blocks"]}))
+        answer = {"weight": weight, "set": members, "n": g.n, "blocks": stats["blocks"]}
+        if pairs is not None:
+            answer["pairs"] = (pairs + 1).tolist()      # 1-based, as in "set"
+        print(json.dumps(answer))
     else:
         print(f"weight {weight}")
         print("set " + " ".join(str(v) for v in members))
@@ -46,7 +55,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import oracle_min_pds      # only this command needs it
+    from .generator import random_block_graph
+    from .oracle import oracle_min_pds
     mismatches = 0
     for i in range(args.instances):
         sub_seed = args.seed + i
@@ -59,9 +69,9 @@ def _cmd_verify(args) -> int:
             print(f"seed {sub_seed}: n={g.n} exceeds the oracle guard; "
                   "reduce --max-blocks/--max-size", file=sys.stderr)
             return 2
-        vset, weight = solve(g)
+        vset, weight, pairs = solve(g, pairs=True)
         ok = (ref is not None and ref[1] == weight
-              and is_paired_dominating_set(g, vset)
+              and is_paired_dominating_set(g, vset, pairs)
               and vset.total_weight == weight)
         if not ok:
             mismatches += 1
@@ -76,6 +86,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generator import GENERATOR_ALGORITHM, random_block_graph
     g = random_block_graph(args.blocks, args.max_size, args.wmax, seed=args.seed)
     text = format_instance(g, comments=[
         f"generator {GENERATOR_ALGORITHM} seed={args.seed} blocks={args.blocks} "
@@ -90,6 +101,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .generator import chain_of_triangles
     # one-time costs of a first call stay untimed
     solve(chain_of_triangles(4))
     g = chain_of_triangles(args.chain)
@@ -132,6 +144,7 @@ def _at_least(lo):
     return parse
 
 
+@functools.cache          # one parser per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairdom",
@@ -142,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--check", action="store_true",
-                   help="re-validate the output set before printing")
+                   help="check the set and its pairing before printing")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="differential test: solver vs brute force")
@@ -180,14 +193,11 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:         # an instance path that is missing, a directory or unreadable
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PairdomError as exc:
+    except (OSError, PairdomError) as exc:    # OSError: a path missing, a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
         if getattr(args, "json", False):
-            w = exc.witness and {k: (np.asarray(ids) + 1).tolist()     # 1-based, as in "set"
-                                 for k, ids in exc.witness.items()}
+            w = getattr(exc, "witness", None)
+            w = w and {k: (np.asarray(ids) + 1).tolist() for k, ids in w.items()}  # 1-based, as in "set"
             print(json.dumps({"error": type(exc).__name__, "message": str(exc), "witness": w}))
         return 2
 

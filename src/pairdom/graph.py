@@ -171,8 +171,9 @@ def is_connected(g: WeightedGraph) -> bool:
 def is_dominating_set(g: WeightedGraph, s) -> bool:
     """Every vertex not in ``s`` has a neighbor in ``s``; ids outside the
     graph are ignored."""
+    ids = np.asarray(s, dtype=np.int64) if isinstance(s, np.ndarray) else np.fromiter(s, np.int64)
     member = np.zeros(g.n, dtype=bool)
-    member[[v for v in map(int, s) if 0 <= v < g.n]] = True
+    member[ids[(ids >= 0) & (ids < g.n)]] = True
     u, v = g.edges[:, 0], g.edges[:, 1]
     dominated = member.copy()
     dominated[v[member[u]]] = True
@@ -219,12 +220,37 @@ def has_perfect_matching(g: WeightedGraph, s) -> bool:
     return True
 
 
-def is_paired_dominating_set(g: WeightedGraph, s) -> bool:
+def is_paired_dominating_set(g: WeightedGraph, s, pairs=None) -> bool:
     """Dominating set whose induced subgraph has a perfect matching.
 
     The empty set never paired-dominates a nonempty graph; for n=0 the
     empty set qualifies.  A set with an id outside 0..n-1 does not.
+
+    Without ``pairs`` the matching is searched for by
+    :func:`has_perfect_matching`, on connected block graphs only.  Given
+    ``pairs``, a (k, 2) array or sequence of id pairs such as the one
+    ``solve(g, pairs=True)`` returns, the pairs are the certificate: every
+    member of ``s`` lies in exactly one pair, no other vertex lies in any,
+    and every pair is an edge.  This check runs on any graph, in
+    O(n + m + k log m), and uses no block decomposition.
     """
+    if pairs is not None:
+        ids = np.fromiter(s, dtype=np.int64)
+        p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        n = g.n
+        if ((ids < 0) | (ids >= n)).any() or ((p < 0) | (p >= n)).any():
+            return False
+        member = np.zeros(n, dtype=bool)
+        member[ids] = True
+        if not np.array_equal(np.bincount(p.ravel(), minlength=n), member):
+            return False
+        # the arc keys src * n + dst of the CSR are sorted
+        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.adj_indptr)) * n + g.adj_indices
+        want = p[:, 0] * n + p[:, 1]
+        at = np.searchsorted(keys, want)
+        hit = at < keys.shape[0]
+        hit[hit] = keys[at[hit]] == want[hit]
+        return bool(hit.all()) and is_dominating_set(g, ids)
     members = set(int(v) for v in s)
     if g.n == 0:
         return not members

@@ -25,13 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from .arraydp import StateKind, TreePlan
+from .arraydp import D, P, StateKind, TreePlan
 from .errors import InternalInconsistency, NoPairedDominatingSet
 from .graph import VertexSet, WeightedGraph
-from .rooted import root_blocks
+from .rooted import RootedBlocks, root_blocks
 from .weights import INFEASIBLE
-
-_STATE_P = int(StateKind.P)
 
 
 def require_pairable(g: WeightedGraph):
@@ -42,7 +40,7 @@ def require_pairable(g: WeightedGraph):
 
 
 def solve(g: WeightedGraph, final_root: Optional[int] = None,
-          stats: Optional[dict] = None):
+          stats: Optional[dict] = None, pairs: bool = False):
     """Minimum-weight paired-dominating set of a connected block graph.
 
     Returns ``(VertexSet, weight)``.  Runs in time linear in the graph
@@ -57,7 +55,11 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
 
     If ``stats`` is a dict, it receives ``blocks`` (the number of blocks)
     and the seconds of each stage: ``decompose_s``, ``sweep_s`` and
-    ``reconstruct_s``.
+    ``reconstruct_s`` (building the pairs, if asked, included).
+
+    With ``pairs=True`` it returns ``(VertexSet, weight, pairs)``: the
+    perfect matching of the set that the states fix, one edge per int64
+    row, a certificate for :func:`is_paired_dominating_set` to check.
 
     Raises NoPairedDominatingSet (n <= 1), Disconnected, NotBlockGraph.
     """
@@ -70,7 +72,7 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
     num_blocks = rb.num_blocks
     t1 = time.perf_counter()
     plan = TreePlan(rb)
-    rb = None                   # the plan keeps what it needs
+    rb = rb if pairs else None  # the plan keeps what the sweep needs
     val = plan.sweep(g.weights)
     t2 = time.perf_counter()
     state = plan.reconstruct(val, root)
@@ -78,13 +80,27 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
     if weight >= INFEASIBLE or (state < 0).any():
         raise InternalInconsistency(
             "no paired-dominating set found on a connected block graph")
-    members = np.flatnonzero(state >= _STATE_P)     # states P and D hold the vertex
+    members = np.flatnonzero(state >= P)     # states P and D hold the vertex
     total = int(g.weights[members].sum())
     if total != weight:
         raise InternalInconsistency(
             f"reconstructed weight {total} != stored weight {weight}")
+    certificate = (_pairs(rb, state),) if pairs else ()
     t3 = time.perf_counter()
     if stats is not None:
         stats.update(blocks=num_blocks, decompose_s=t1 - t0, sweep_s=t2 - t1,
                      reconstruct_s=t3 - t2)
-    return VertexSet(tuple(members.tolist()), total), weight
+    return (VertexSet(tuple(members.tolist()), total), weight, *certificate)
+
+
+def _pairs(rb: RootedBlocks, state: np.ndarray) -> np.ndarray:
+    """The matching the states fix.  A child in state D is matched inside
+    its block, where its only partners are: the D-children of each block
+    pair off in ``kids`` order, and an odd one out pairs with the block's
+    attachment, which is then in state P (its one odd block)."""
+    d = rb.kids[state[rb.kids] == D]
+    blk = rb.block_of[d]                                # nondecreasing
+    left = np.flatnonzero((np.arange(d.shape[0]) - np.searchsorted(blk, blk)) % 2 == 0)
+    right = np.minimum(left + 1, d.shape[0] - 1)
+    inside = (left + 1 < d.shape[0]) & (blk[right] == blk[left])
+    return np.column_stack((d[left], np.where(inside, d[right], rb.attach[blk[left]])))

@@ -48,7 +48,7 @@ def solved_corpus(enum_corpus):
 
 def _solve_record(g, kind, seed=None):
     bct = find_blocks(g)
-    vset, weight = solve(g)
+    vset, weight, pairs = solve(g, pairs=True)
     ref = oracle_min_pds(g)
     return {
         "kind": kind,
@@ -62,7 +62,7 @@ def _solve_record(g, kind, seed=None):
         "oracle_weight": None if ref is None else ref[1],
         "set_size": len(vset),
         "set_weight": vset.total_weight,
-        "valid": is_paired_dominating_set(g, vset),
+        "valid": is_paired_dominating_set(g, vset, pairs),
     }
 
 
@@ -96,15 +96,18 @@ def test_a3_parity_and_validity(solved_corpus, enum_corpus):
         assert r["set_weight"] == r["weight"], r
         if r["unit"]:
             assert r["set_size"] >= r["n"] / r["max_degree"], r
-    # the set rebuilt from every root weighs the sweep's optimum there,
-    # and is the same set on a second call
+    # the set rebuilt from every root weighs the sweep's optimum there, is
+    # the same set on a second call, and its pairing passes the certificate
+    # check; the leaf-first greedy agrees
     for g in enum_corpus:
         for root in range(g.n):
             _, val = sweep(g, root)
-            vset, weight = solve(g, final_root=root)
+            vset, weight, pairs = solve(g, final_root=root, pairs=True)
             assert weight == vset.total_weight == min(val[StateKind.P, root],
                                                       val[StateKind.P_PRIME, root])
             assert solve(g, final_root=root)[0] == vset
+            assert is_paired_dominating_set(g, vset, pairs)
+            assert is_paired_dominating_set(g, vset)
     print(f"\nA3 parity and validity invariants: PASS "
           f"({len(solved_corpus)} instances)")
 

@@ -216,6 +216,8 @@ def test_solve_on_large_graphs(g, optimum):
     assert is_dominating_set(g, vset.members)
     assert _block_graph_matched(g, vset.members)
     assert has_perfect_matching(g, vset.members)
+    same, _, pairs = solve(g, pairs=True)
+    assert same == vset and is_paired_dominating_set(g, vset, pairs)
     hub = int(np.argmax(np.diff(g.adj_indptr)))
     for root in (g.n - 1, g.n // 2, hub):
         other, w = solve(g, final_root=root)
@@ -241,25 +243,32 @@ def test_check_is_fast_on_random_400_block_graphs(seed):
     assert _block_graph_matched(g, vset.members)
 
 
+def _loaded_after(calls, names) -> str:
+    """Exit codes of ``cli.main`` over ``calls`` in a fresh process, and
+    which of ``names`` that process then holds in ``sys.modules``."""
+    code = ("import sys; from pairdom.cli import main; "
+            f"codes = [main(argv) for argv in {calls!r}]; "
+            f"print(codes, sorted(m for m in {names!r} if m in sys.modules))")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True).stdout.splitlines()[-1]
+
+
 def test_solve_path_loads_no_scalar_kernels(tmp_path):
     """``pairdom solve --json`` and ``solve --json --check`` on a file,
-    parsing and the output check included, ``solve --json`` on a rejected
-    file and ``decompose`` on a good one load neither the line-by-line
-    parser, numba nor scipy."""
-    path = tmp_path / "chain.pd"
+    parsing and the output check included, and ``solve --json`` on a
+    rejected file load neither the line-by-line parser, numba, scipy, the
+    generator nor the oracle; ``decompose`` on a good file, in a process of
+    its own, loads none of the first three."""
+    path, bad = tmp_path / "chain.pd", tmp_path / "c4.pd"
     path.write_text(format_instance(chain_of_triangles(3)))
-    bad = tmp_path / "c4.pd"
     bad.write_text(format_instance(cycle_graph(4)))
-    code = ("import sys; from pairdom.cli import main; "
-            f"assert main(['solve', {str(path)!r}, '--json']) == 0; "
-            f"assert main(['solve', {str(path)!r}, '--json', '--check']) == 0; "
-            f"assert main(['solve', {str(bad)!r}, '--json']) == 2; "
-            f"assert main(['decompose', {str(path)!r}]) == 0; "
-            "print(sorted(m for m in ('pairdom._linewise', 'numba', 'scipy') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    path, bad = str(path), str(bad)
+    scalar = ("pairdom._linewise", "numba", "scipy")
+    solves = [["solve", path, "--json"], ["solve", path, "--json", "--check"],
+              ["solve", bad, "--json"]]
+    assert (_loaded_after(solves, scalar + ("pairdom.generator", "pairdom.oracle"))
+            == "[0, 0, 2] []")
+    assert _loaded_after([["decompose", path]], scalar) == "[0] []"
 
 
 def _with_chunk(chunk, f, *args):

@@ -198,7 +198,22 @@ def test_cli_solve_check_json(tmp_path, capsys):
     path = _write(tmp_path, "k2.pd", K2_TEXT)
     assert main(["solve", path, "--json", "--check"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data == {"weight": 8, "set": [1, 2], "n": 2, "blocks": 1}
+    assert data == {"weight": 8, "set": [1, 2], "n": 2, "blocks": 1, "pairs": [[2, 1]]}
+
+
+def test_cli_solve_check_json_prints_a_checkable_pairing(tmp_path, capsys):
+    g = random_block_graph(60, 5, 30, seed=9)
+    path = _write(tmp_path, "g.pd", format_instance(g))
+    assert main(["solve", path, "--json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert list(plain) == ["weight", "set", "n", "blocks"]
+    assert main(["solve", path, "--json", "--check"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert {k: data[k] for k in plain} == plain
+    members = [v - 1 for v in data["set"]]
+    pairs = [(u - 1, v - 1) for u, v in data["pairs"]]
+    assert sorted(x for p in pairs for x in p) == members
+    assert pairdom.is_paired_dominating_set(g, members, pairs)
 
 
 def test_cli_solve_rejects_non_block_graph(tmp_path, capsys):
@@ -270,6 +285,33 @@ def test_cli_solve_rejects_non_utf8(tmp_path, capsys):
 
 def test_cli_missing_file(capsys):
     assert main(["solve", "/nonexistent/file.pd"]) == 2
+
+
+def test_cli_missing_file_json(capsys):
+    assert main(["solve", "/nonexistent/file.pd", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "FileNotFoundError", "message": err[len("error: "):-1],
+                               "witness": None}
+    assert err.startswith("error: ") and "/nonexistent/file.pd" in err
+
+
+def test_cli_calls_in_one_process_print_what_fresh_processes_print(tmp_path, capsys):
+    """The parser is built once per process; no call leaves state in it
+    that changes what a later call prints."""
+    chain = _write(tmp_path, "chain.pd", format_instance(chain_of_triangles(7)))
+    calls = [["solve", chain, "--json"], ["solve", chain],
+             ["gen", "--blocks", "4", "--seed", "2"], ["gen", "--blocks", "0"],
+             ["solve", chain, "--check", "--json"], ["solve", chain, "--check"],
+             ["solve", chain, "--json"]]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "pairdom.cli", *argv],
+                               capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 @pytest.mark.parametrize("command", ["solve", "decompose"])

@@ -2,17 +2,22 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairdom.arraydp
+import pairdom.rooted
 from pairdom import (DuplicateEdge, NotBlockGraph, OutOfRange, SelfLoop,
                      WeightOverflow, build_graph, chain_of_triangles,
-                     has_perfect_matching, is_connected, is_dominating_set,
-                     is_paired_dominating_set, random_block_graph)
+                     enumerate_block_graphs, has_perfect_matching, is_connected,
+                     is_dominating_set, is_paired_dominating_set,
+                     random_block_graph, solve)
+from pairdom.oracle import _tables
 from pairdom.weights import MAX_TOTAL_WEIGHT
 
-from conftest import clique_graph, cycle_graph, path_graph
+from conftest import clique_graph, cycle_graph, golden_graph, path_graph
 
 
 def test_build_k2():
@@ -193,3 +198,111 @@ def test_paired_dominating_sets_are_even_and_bounded():
                     if is_paired_dominating_set(g, sub):
                         assert len(sub) % 2 == 0 and len(sub) >= 2
                         assert len(sub) >= n / g.max_degree
+
+
+# ------------------------------------------------------- pairing certificate
+
+def _matching(g, members):
+    """Some perfect matching of the subgraph ``members`` induces, as a list
+    of pairs, by exhaustive search; None if there is none."""
+    members = sorted(members)
+    if not members:
+        return []
+    v, rest = members[0], set(members[1:])
+    for u in g.neighbors(v).tolist():
+        if u in rest:
+            found = _matching(g, rest - {u})
+            if found is not None:
+                return [(v, u)] + found
+    return None
+
+
+def _three_checks_agree(g, s, pairs):
+    """The certificate check, the leaf-first greedy and the oracle's
+    matching test give one answer for ``s``; returns it."""
+    matched = _tables(g).has_pm(sum(1 << v for v in s))
+    assert has_perfect_matching(g, s) == matched
+    expect = is_dominating_set(g, s) and matched
+    assert is_paired_dominating_set(g, s) == expect
+    if pairs is not None:
+        assert is_paired_dominating_set(g, s, pairs) == expect
+    return expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), nb=st.integers(1, 6), ms=st.integers(2, 4),
+       data=st.data())
+def test_certificate_check_agrees_with_greedy_and_oracle(seed, nb, ms, data):
+    g = random_block_graph(nb, ms, 20, seed=seed)
+    root = data.draw(st.integers(0, g.n - 1))
+    vset, _, pairs = solve(g, final_root=root, pairs=True)
+    assert _three_checks_agree(g, vset.members, pairs)
+    subset = data.draw(st.sets(st.integers(0, g.n - 1)))
+    _three_checks_agree(g, subset, _matching(g, subset))
+
+
+def test_certificate_check_on_enumerated_block_graphs():
+    for g in enumerate_block_graphs(7):
+        for root in range(g.n):
+            vset, _, pairs = solve(g, final_root=root, pairs=True)
+            assert _three_checks_agree(g, vset.members, pairs)
+
+
+def _corruptions(g, members, pairs):
+    """Each way to spoil a valid certificate, by name: the pairs after it."""
+    member = np.zeros(g.n, dtype=bool)
+    member[list(members)] = True
+    adjacent = {tuple(e) for e in g.edge_list()}
+    adjacent |= {(v, u) for u, v in adjacent}
+    pairs = pairs.tolist()
+    (a, b), (c, d) = next((p, q) for p, q in itertools.combinations(pairs, 2)
+                          if (p[0], q[0]) not in adjacent)
+    rest = [p for p in pairs if p not in ([a, b], [c, d])]
+    outside = next(list(e) for e in g.edge_list() if not member[list(e)].any())
+    return {"not an edge": rest + [[a, c], [b, d]],
+            "repeated vertex": pairs + [pairs[0]],
+            "member left out": pairs[1:],
+            "non-member paired": pairs + [outside],
+            "id past the last vertex": pairs + [[g.n, g.n + 1]],
+            "negative id": pairs[1:] + [[pairs[0][0], -1], [pairs[0][1], -2]]}
+
+
+@pytest.mark.parametrize("g", [golden_graph(), random_block_graph(300, 5, 50, seed=3)],
+                         ids=["golden", "random300"])
+def test_corrupted_certificates_are_rejected(g):
+    vset, _, pairs = solve(g, pairs=True)
+    assert is_paired_dominating_set(g, vset, pairs)
+    bad = _corruptions(g, vset.members, pairs)
+    for name, spoiled in bad.items():
+        assert not is_paired_dominating_set(g, vset, spoiled), name
+    # the non-member pair is fine once its vertices join the set
+    assert is_paired_dominating_set(g, vset.members + tuple(bad["non-member paired"][-1]),
+                                    bad["non-member paired"])
+
+
+def test_certificate_check_on_a_graph_that_is_not_a_block_graph():
+    c4 = cycle_graph(4)
+    assert is_paired_dominating_set(c4, {0, 1, 2, 3}, [(0, 1), (3, 2)])
+    assert is_paired_dominating_set(c4, {0, 1}, np.array([[1, 0]]))
+    assert not is_paired_dominating_set(c4, {0, 1, 2, 3}, [(0, 2), (1, 3)])
+    assert not is_paired_dominating_set(c4, {0, 2}, [(0, 2)])
+    two = build_graph(2, [1, 1], [])              # no edges to search
+    assert not is_paired_dominating_set(two, {0, 1}, [(0, 1)])
+    empty = build_graph(0, [], [])
+    assert is_paired_dominating_set(empty, set(), [])
+    assert not is_paired_dominating_set(clique_graph(3), set(), [])
+
+
+def test_certificate_check_needs_no_decomposition(monkeypatch):
+    g = random_block_graph(300, 5, 50, seed=4)
+    vset, _, pairs = solve(g, pairs=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate check decomposed the graph")
+
+    monkeypatch.setattr(pairdom.rooted, "root_blocks", refuse)
+    monkeypatch.setattr(pairdom.arraydp, "TreePlan", refuse)
+    assert is_paired_dominating_set(g, vset, pairs)
+    assert not is_paired_dominating_set(g, vset, pairs[1:])
+    with pytest.raises(AssertionError):
+        is_paired_dominating_set(g, vset)         # the greedy decomposes

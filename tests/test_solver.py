@@ -1,9 +1,11 @@
 """Every state of every vertex against brute force, and end-to-end solves."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairdom.solver
 from pairdom import (INFEASIBLE, Disconnected, NoPairedDominatingSet,
                      NotBlockGraph, StateKind, build_graph,
                      enumerate_block_graphs, is_paired_dominating_set,
@@ -204,6 +206,20 @@ def test_solve_golden_matches_oracle(golden):
     vset, w = solve(golden)
     assert w == ref[1] == GOLDEN_WEIGHT
     assert is_paired_dominating_set(golden, vset)
+
+
+def test_solve_builds_pairs_only_when_asked(monkeypatch):
+    g = random_block_graph(40, 4, 20, seed=79)
+    vset, w, pairs = solve(g, pairs=True)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(vset) // 2, 2)
+    assert sorted(pairs.ravel().tolist()) == list(vset.members)
+    assert is_paired_dominating_set(g, vset, pairs)
+
+    def refuse(*args):
+        raise AssertionError("pairs built unasked")
+
+    monkeypatch.setattr(pairdom.solver, "_pairs", refuse)
+    assert solve(g) == (vset, w)
 
 
 def test_solve_errors():
