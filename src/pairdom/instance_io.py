@@ -5,11 +5,13 @@
     e <u> <v>               exactly m lines, u != v
 
 Lines starting with ``c`` are comments and are ignored, as are blank
-lines and whitespace around fields.
+lines and whitespace around fields.  A leading byte-order mark is dropped,
+and ``\\r\\n`` and ``\\r`` end lines as ``\\n`` does.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 import numpy as np
@@ -17,92 +19,93 @@ import numpy as np
 from .errors import ParseError
 from .graph import WeightedGraph, build_graph
 
+_SLICE = 1 << 16    # bytes a numpy pass reads; more outgrow malloc's 128 KiB mmap threshold
+_HEAD = re.compile(rb"(?:c[ -\x7f]*\n|\n)*p pdom (\d{1,18}) (\d{1,18})(?:\n|\Z)")
+
 
 def parse_instance(text: str) -> WeightedGraph:
     """Parse the text form of an instance; raises ParseError on any
     deviation from the format (graph-level validation errors, such as
-    duplicate edges, propagate from build_graph).  Text in the plain layout
-    is read with numpy; any other goes through the line loop."""
-    parsed = _parse_fast(text)
+    duplicate edges, propagate from build_graph)."""
+    return _parse(text)
+
+
+def _parse(data) -> WeightedGraph:
+    """The graph in ``data``, text or bytes.  A caller that passes its only
+    reference to the bytes has them freed before build_graph allocates."""
+    parsed = _parse_fast(data)
     if parsed is None:
         from ._linewise import parse_lines     # loaded on first use
-        return parse_lines(text)
+        return parse_lines(data if isinstance(data, str) else data.decode())
+    del data
     return build_graph(*parsed)
 
 
-def _parse_fast(text: str):
-    """``(n, weights, edges)`` read with numpy over the bytes of ``text``,
-    or None unless it is a valid instance in the plain layout: ASCII, lines
-    ended by ``\\n``, fields split by one space, comments with ``c`` in
-    column 0, numbers of at most 18 digits.  The line loop
-    (``_linewise.parse_lines``) takes every other input, and gives the
-    error of a malformed one.  Per-byte arrays are uint8 or bool; the int
-    arrays hold one entry per field."""
-    if not text.isascii():
+def _parse_fast(data):
+    """``(n, weights, edges)`` read with numpy from ``data`` (bytes, or text
+    to encode), or None unless it is a valid instance in the plain layout:
+    ASCII, lines ended by ``\\n``, fields split by one space, comments with
+    ``c`` in column 0, numbers of at most 18 digits; the line loop takes any
+    other input.  The lines after the header are read in slices cut after a
+    newline, into arrays of the header's sizes."""
+    if isinstance(data, str):
+        data = data.encode(errors="surrogatepass")
+    head = _HEAD.match(data)
+    if head is None or not data.isascii():
         return None
-    data = (text if text.endswith("\n") else text + "\n").encode()
-    b = np.frombuffer(data, np.uint8)
-    if b"c" in data or b"\n\n" in data or data[0] == 10:   # comments, blank lines
-        ends = np.flatnonzero(b == 10)
-        if np.count_nonzero(b < 32) != ends.size:
-            return None                 # tabs, \r and other control bytes
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        skip = (b[starts] == 10) | (b[starts] == ord("c"))
-        b = b[~np.repeat(skip, ends - starts + 1)]
-        del ends, starts, skip
-    del data
-    # fields end at a space or a newline (any other byte up to 32 fails the
-    # count below): the header's four, then three a line
-    end = np.flatnonzero(b <= 32)
-    rows = (end.size - 4) // 3
-    sep = b[end]
-    eol = sep == 10
-    if (rows < 0 or not eol[3] or not eol[6::3].all()
-            or np.count_nonzero(sep == 32) != end.size - rows - 1):
+    n, m, lo = int(head[1]), int(head[2]), head.end()
+    if 6 * (n + m) > len(data) - lo + 1:      # a line takes 6 bytes or more
         return None
-    head = b[:end[3]].tobytes().split(b" ")
-    if head[:2] != [b"p", b"pdom"] or not all(t.isdigit() and len(t) <= 18 for t in head[2:]):
-        return None
-    n, m = int(head[2]), int(head[3])
-    # then lines of a one-byte type and two numbers
-    end = end[3:]
-    kind = b[end[1::3] - 1]
-    is_w = kind == ord("w")
-    gap = np.diff(end).reshape(rows, 3)             # field length + 1
-    if (gap[:, 0] != 2).any() or not (is_w | (kind == ord("e"))).all():
-        return None
-    length = np.subtract(gap[:, 1:], 1).ravel()
-    top = int(length.max(initial=0))
-    at = np.subtract(end[1:].reshape(rows, 3)[:, 1:], top).ravel()
-    del sep, eol, end, gap, kind
-    if length.size and (length.min() < 1 or top > 18):
-        return None
-    # the numbers, right-aligned, digit by digit from the left; a read left
-    # of a shorter number is masked (the first number ends 13 or more bytes
-    # in, so an index is -4 at the lowest, which numpy reads from the end)
-    val = np.zeros(length.size, dtype=np.int64)
-    for k in range(top - 1, -1, -1):
-        digit = b[at]
-        digit -= ord("0")
-        digit *= length > k
-        if (digit > 9).any():
+    weights = np.full(n, -1, dtype=np.int64)
+    edges = np.empty((m, 2), dtype=np.int64)
+    buf, nw, ne = np.frombuffer(data, np.uint8), 0, 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _SLICE - 1) + 1 or len(data)
+        b = buf[lo:hi] if data[hi - 1] == 10 else np.append(buf[lo:hi], np.uint8(10))
+        if data.find(b"c", lo, hi) >= 0 or data.find(b"\n\n", lo - 1, hi) >= 0:
+            ends = np.flatnonzero(b == 10)      # drop comment and blank lines
+            if np.count_nonzero(b < 32) != ends.size:
+                return None                     # tabs, \r and other control bytes
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            skip = (b[starts] == 10) | (b[starts] == ord("c"))
+            b = b[~np.repeat(skip, ends - starts + 1)]
+        lo = hi
+        # lines of a type byte after a newline (b[-1] on the first) and two numbers;
+        # a field ends at a space or a newline, any other byte up to 32 fails
+        end = np.flatnonzero(b <= 32)
+        if end.size % 3:
             return None
-        val *= 10
-        val += digit
-        at += 1
-    del b, length, at
-    val = val.reshape(rows, 2)
-    wv, e = np.compress(is_w, val, axis=0), np.compress(~is_w, val, axis=0)
-    e -= 1
-    v = wv[:, 0] - 1
-    if (wv.shape[0] != n or e.shape[0] != m or n and (v.min() < 0 or v.max() >= n)
-            or m and (e.min() < 0 or e.max() >= n)):
-        return None
-    seen = np.zeros(n, dtype=bool)
-    seen[v] = True
-    weights = np.zeros(n, dtype=np.int64)
-    weights[v] = wv[:, 1]
-    return (n, weights, e) if seen.all() else None
+        end = end.reshape(-1, 3)
+        length = np.diff(end)       # of the numbers, plus 1
+        kind, top = b[end[:, 0] - 1], int(length.max(initial=1)) - 1
+        is_w = kind == ord("w")
+        if ((b[end] != (32, 32, 10)).any() or (b[end[:, 0] - 2] != 10).any() or top > 18
+                or not (is_w | (kind == ord("e"))).all() or length.min(initial=2) < 2):
+            return None
+        # the numbers, right-aligned, digit by digit from the left; a read left
+        # of a shorter one is masked (an index >= 3 - top wraps within b)
+        at = end[:, 1:] - top
+        del end
+        val = np.zeros(at.shape, dtype=np.int64)
+        for k in range(top, 0, -1):
+            digit = b[at]
+            digit -= ord("0")
+            digit *= length > k
+            if (digit > 9).any():
+                return None
+            val *= 10
+            val += digit
+            at += 1
+        w = np.compress(is_w, val, axis=0)
+        nw, ne = nw + w.shape[0], ne + val.shape[0] - w.shape[0]
+        if nw > n or ne > m or w[:, 0].min(initial=1) < 1 or w[:, 0].max(initial=0) > n:
+            return None
+        weights[w[:, 0] - 1] = w[:, 1]
+        np.compress(~is_w, val, axis=0, out=edges[ne - val.shape[0] + w.shape[0]:ne])
+        del length, at, val, w      # before the next slice allocates its own
+    edges -= 1
+    bad = nw != n or ne != m or weights.min(initial=0) < 0 or m and edges.max() >= n
+    return None if bad or edges.min(initial=0) < 0 else (n, weights, edges)
 
 
 def format_instance(g: WeightedGraph, comments: Iterable[str] = ()) -> str:
@@ -118,13 +121,25 @@ def format_instance(g: WeightedGraph, comments: Iterable[str] = ()) -> str:
 
 
 def load_instance(path) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as f:
+    return _parse(_read(path))
+
+
+def _read(path) -> bytes:
+    """The bytes of the file at ``path`` as text mode would decode them,
+    without a leading byte-order mark; raises ParseError unless UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    bom = 3 * data.startswith(b"\xef\xbb\xbf")
+    data = data[bom:]
+    if not data.isascii():
         try:
-            text = f.read()
+            data.decode()
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: byte {exc.object[exc.start]:#04x} "
-                             f"at offset {exc.start}") from None
-    return parse_instance(text)
+                             f"at offset {exc.start + bom}") from None
+    if b"\r" in data:       # text mode's line ends
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def save_instance(g: WeightedGraph, path, comments: Iterable[str] = ()) -> None:

@@ -81,6 +81,7 @@ def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
     pu, pv = parent[u], parent[v]
     sib = pu == pv
     cross = ~(sib | (pu == v) | (pv == u))
+    del pu, pv
     if cross.any():
         i = int(np.argmax(cross))
         raise _cross_edge(g, rank, parent, int(u[i]), int(v[i]))
@@ -89,7 +90,8 @@ def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
     label = np.arange(n, dtype=np.int64)
     np.minimum.at(label, su, sv)
     np.minimum.at(label, sv, su)
-    mixed = label[su] != label[sv]
+    lsu = label[su]
+    mixed = lsu != label[sv]
     if mixed.any():
         # c = label[a] is a sibling of a that b misses, or b's label
         # would be c too
@@ -101,7 +103,7 @@ def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
         raise _not_clique([int(parent[a]), c, a, b], c, b)
     kids = order[1:]
     size = np.bincount(label[kids], minlength=n)
-    short = np.bincount(label[su], minlength=n) != size * (size - 1) // 2
+    short = np.bincount(lsu, minlength=n) != size * (size - 1) // 2
     if short.any():
         # every member of group c is adjacent to c, so the member x of
         # fewest sibling edges is not c, and a member y that x misses is

@@ -185,6 +185,79 @@ def test_numpy_parser_peak_memory(g):
     assert peaks[0] <= peaks[1], peaks
 
 
+def _mutated_texts(count):
+    """Canonical instance texts, some with comments, each mutated up to
+    twice by ``_mutate``."""
+    rng = random.Random(5)
+    for seed in range(count):
+        g = random_block_graph(rng.randrange(1, 7), rng.randrange(2, 5),
+                               rng.choice([1, 50, 10 ** 15]), seed=seed)
+        text = format_instance(g, comments=["seed %d" % seed] * rng.randrange(2))
+        for _ in range(rng.randrange(3)):
+            text = _mutate(rng, text)
+        yield text
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_sliced_parser_matches_line_loop(monkeypatch, size):
+    """Slices of a few bytes split the lines, comments and errors of the
+    mutated texts across slices; the outcome is still the line loop's."""
+    monkeypatch.setattr(instance_io, "_SLICE", size)
+    fast = 0
+    for text in _mutated_texts(300):
+        assert _outcome(parse_instance, text) == _outcome(_linewise.parse_lines, text), repr(text)
+        fast += instance_io._parse_fast(text) is not None
+    assert fast > 50
+
+
+def _line_end_copies(tmp_path, text):
+    """Paths of ``text`` written with LF, CRLF and CR-only line ends."""
+    paths = []
+    for name, end in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+        paths.append(tmp_path / f"{name}.pd")
+        paths[-1].write_bytes(text.replace("\n", end).encode())
+    return paths
+
+
+def test_crlf_and_cr_files_load_as_lf_files(tmp_path):
+    """Through load_instance, CRLF and CR-only copies give the graph or the
+    error of the LF file, which is what the line loop makes of the text
+    that text mode reads."""
+    texts = [format_instance(random_block_graph(30, 5, 30, seed=3), comments=["a"])]
+    for text in texts + [t for t in _mutated_texts(150) if "\r" not in t]:
+        lf, crlf, cr = _line_end_copies(tmp_path, text)
+        expected = _outcome(_linewise.parse_lines, lf.read_text(encoding="utf-8"))
+        assert _outcome(instance_io.load_instance, lf) == expected, repr(text)
+        assert _outcome(instance_io.load_instance, crlf) == expected, repr(text)
+        assert _outcome(instance_io.load_instance, cr) == expected, repr(text)
+
+
+def test_canonical_crlf_file_skips_line_loop(tmp_path, monkeypatch):
+    def line_loop(text):
+        raise AssertionError("parsed line by line")
+    text = format_instance(random_block_graph(40, 5, 30, seed=2), comments=["x"])
+    paths = _line_end_copies(tmp_path, text)
+    expected = _outcome(parse_instance, text)
+    monkeypatch.setattr(_linewise, "parse_lines", line_loop)
+    assert [_outcome(instance_io.load_instance, p) for p in paths] == [expected] * 3
+
+
+@pytest.mark.parametrize("g", [chain_of_triangles(10 ** 4),
+                               random_block_graph(2000, 12, 100, seed=1)],
+                         ids=["chain", "cliques"])
+def test_sliced_parser_peak_memory(g):
+    """The numpy parser holds the text's bytes, its outputs (n weights and
+    2m edge ids) and one slice's arrays: at most 1 MiB above the first two."""
+    text = format_instance(g)
+    tracemalloc.start()
+    try:
+        assert instance_io._parse_fast(text) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(text) + 8 * (g.n + 2 * g.m) + 2 ** 20, peak
+
+
 # ---------------------------------------------------------------------- solve
 
 def test_cli_solve(tmp_path, capsys):
@@ -281,6 +354,19 @@ def test_cli_solve_rejects_non_utf8(tmp_path, capsys):
     path.write_bytes(b"c caf\xe9\np pdom 2 1\nw 1 5\nw 2 3\ne 1 2\n")
     assert main(["solve", str(path)]) == 2
     assert capsys.readouterr().err == "error: not UTF-8 text: byte 0xe9 at offset 5\n"
+
+
+def test_cli_solve_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain = _write(tmp_path, "k2.pd", K2_TEXT)
+    marked = tmp_path / "bom.pd"
+    marked.write_bytes(b"\xef\xbb\xbf" + K2_TEXT.encode())
+    assert main(["solve", plain, "--json"]) == 0
+    expected = capsys.readouterr()
+    assert main(["solve", str(marked), "--json"]) == 0
+    assert capsys.readouterr() == expected
+    marked.write_bytes(b"\xef\xbb\xbfc caf\xe9\n")      # the offset counts the mark
+    assert main(["solve", str(marked)]) == 2
+    assert capsys.readouterr().err == "error: not UTF-8 text: byte 0xe9 at offset 8\n"
 
 
 def test_cli_missing_file(capsys):
