@@ -6,8 +6,7 @@ clique) the optimum is found exactly by a bottom-up dynamic program over
 the block-cut tree, in time linear in the graph size.
 """
 
-from .blocks import (Block, BlockCutTree, find_blocks, first_non_clique_block,
-                     is_block_graph, to_dot)
+from .blocks import BlockCutTree, find_blocks, is_block_graph, to_dot
 from .errors import (Disconnected, DuplicateEdge, InternalInconsistency,
                      NoPairedDominatingSet, NotBlockGraph, OutOfRange,
                      PairdomError, ParseError, SelfLoop, TooLarge,
@@ -18,7 +17,7 @@ from .graph import (VertexSet, WeightedGraph, build_graph,
 from .instance_io import (format_instance, load_instance, parse_instance,
                           save_instance)
 from .solver import StateKind, solve
-from .weights import INFEASIBLE, is_feasible
+from .weights import INFEASIBLE
 
 # The brute-force oracle and the generator load on first use: solving needs
 # neither, and compiling them would add to every import of the package.
@@ -37,15 +36,14 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block", "BlockCutTree", "Disconnected", "DuplicateEdge",
-    "GENERATOR_ALGORITHM", "INFEASIBLE", "InternalInconsistency",
-    "NoPairedDominatingSet", "NotBlockGraph", "OutOfRange", "PairdomError",
-    "ParseError", "SelfLoop", "StateKind", "TooLarge", "VertexSet",
-    "WeightOverflow", "WeightedGraph", "build_graph", "chain_of_triangles",
-    "enumerate_block_graphs", "find_blocks", "first_non_clique_block",
-    "format_instance", "has_perfect_matching", "is_block_graph",
-    "is_connected", "is_dominating_set", "is_feasible",
-    "is_paired_dominating_set", "load_instance", "oracle_min_pds",
-    "oracle_state", "parse_instance", "random_block_graph", "save_instance",
-    "solve", "to_dot",
+    "BlockCutTree", "Disconnected", "DuplicateEdge", "GENERATOR_ALGORITHM",
+    "INFEASIBLE", "InternalInconsistency", "NoPairedDominatingSet",
+    "NotBlockGraph", "OutOfRange", "PairdomError", "ParseError",
+    "SelfLoop", "StateKind", "TooLarge", "VertexSet", "WeightOverflow",
+    "WeightedGraph", "build_graph", "chain_of_triangles",
+    "enumerate_block_graphs", "find_blocks", "format_instance",
+    "has_perfect_matching", "is_block_graph", "is_connected",
+    "is_dominating_set", "is_paired_dominating_set", "load_instance",
+    "oracle_min_pds", "oracle_state", "parse_instance",
+    "random_block_graph", "save_instance", "solve", "to_dot",
 ]

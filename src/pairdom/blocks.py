@@ -4,19 +4,12 @@ decomposition (:func:`pairdom.rooted.root_blocks`) from vertex 0."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import Disconnected, NotBlockGraph
 from .graph import WeightedGraph
 from .rooted import root_blocks
-
-
-@dataclass(frozen=True)
-class Block:
-    block_id: int
-    vertices: tuple
 
 
 @dataclass(eq=False)
@@ -45,20 +38,6 @@ class BlockCutTree:
 
     def block_vertices(self, b: int) -> np.ndarray:
         return self.block_verts[self.block_ptr[b]:self.block_ptr[b + 1]]
-
-    def block_size(self, b: int) -> int:
-        return int(self.block_ptr[b + 1] - self.block_ptr[b])
-
-    def block_cuts(self, b: int) -> list:
-        return [int(v) for v in self.block_vertices(b) if self.is_cut[v]]
-
-    def tree_edges(self) -> list:
-        """Bipartite tree adjacency as (block_id, cut_vertex) pairs."""
-        return [(b, c) for b in range(self.num_blocks) for c in self.block_cuts(b)]
-
-    def pendant_blocks(self) -> list:
-        """Blocks containing exactly one cut vertex (the leaves of the tree)."""
-        return [b for b in range(self.num_blocks) if len(self.block_cuts(b)) == 1]
 
     @property
     def elimination_order(self) -> np.ndarray:
@@ -100,25 +79,27 @@ def is_block_graph(g: WeightedGraph) -> bool:
     return True
 
 
-def first_non_clique_block(bct: BlockCutTree) -> Optional[Block]:
-    """Lowest-id block that is not a clique, or None.
-
-    Always None: :func:`find_blocks` builds no tree for a graph with such
-    a block, and raises NotBlockGraph with a witness instead.
-    """
+def first_non_clique_block(bct: BlockCutTree) -> None:
+    """Always None: :func:`find_blocks` builds no tree for a graph with a
+    block that is not a clique, and raises NotBlockGraph with a witness
+    instead.  Kept, outside the package's API, as the name the benchmark's
+    per-layer tracer wraps."""
     return None
 
 
-def to_dot(bct: BlockCutTree, one_based: bool = True) -> str:
-    """DOT rendering of the block-cut tree (blocks as boxes, cuts as circles)."""
-    off = 1 if one_based else 0
+def to_dot(bct: BlockCutTree) -> str:
+    """DOT rendering of the block-cut tree (blocks as boxes, cuts as
+    circles), with 1-based block and vertex ids as the CLI prints them."""
     lines = ["graph blockcut {"]
     for b in range(bct.num_blocks):
-        vs = " ".join(str(int(v) + off) for v in bct.block_vertices(b))
-        lines.append(f'  B{b + off} [shape=box, label="B{b + off}: {vs}"];')
+        vs = " ".join(str(int(v) + 1) for v in bct.block_vertices(b))
+        lines.append(f'  B{b + 1} [shape=box, label="B{b + 1}: {vs}"];')
     for c in bct.cut_vertices:
-        lines.append(f'  c{c + off} [shape=circle, label="{c + off}"];')
-    for b, c in bct.tree_edges():
-        lines.append(f"  B{b + off} -- c{c + off};")
+        lines.append(f'  c{c + 1} [shape=circle, label="{c + 1}"];')
+    # each block's id repeated over its vertices, the cut ones kept
+    owner = np.repeat(np.arange(bct.num_blocks), np.diff(bct.block_ptr))
+    cut = bct.is_cut[bct.block_verts]
+    for b, c in zip(owner[cut].tolist(), bct.block_verts[cut].tolist()):
+        lines.append(f"  B{b + 1} -- c{c + 1};")
     lines.append("}")
     return "\n".join(lines)

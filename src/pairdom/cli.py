@@ -19,10 +19,10 @@ import argparse
 import functools
 import json
 import sys
-import time
 
 import numpy as np
 
+# eager, not lazy: the benchmark's tracer looks its blocks spans up in sys.modules
 from .blocks import find_blocks, to_dot
 from .errors import InternalInconsistency, PairdomError, TooLarge
 from .graph import is_paired_dominating_set
@@ -100,21 +100,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .generator import chain_of_triangles
-    # one-time costs of a first call stay untimed
-    solve(chain_of_triangles(4))
-    g = chain_of_triangles(args.chain)
-    times = []
-    for _ in range(args.repeat):
-        t0 = time.perf_counter()
-        _, weight = solve(g)
-        times.append(time.perf_counter() - t0)
-    best = min(times)
-    print(f"n {g.n} blocks {args.chain} weight {weight} time {best:.6f}s")
-    return 0
-
-
 def _cmd_decompose(args) -> int:
     g = load_instance(args.file)
     bct = find_blocks(g)
@@ -173,11 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="time the solver on a triangle chain")
-    p.add_argument("--chain", type=_at_least(1), required=True, help="number of triangles")
-    p.add_argument("--repeat", type=_at_least(1), default=3)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("decompose", help="print blocks, cut vertices, order")
     p.add_argument("file")

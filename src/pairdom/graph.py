@@ -36,10 +36,8 @@ class WeightedGraph:
         return int(self.adj_indptr[v + 1] - self.adj_indptr[v])
 
     def weight_of(self, vertices: Iterable[int]) -> int:
-        return int(sum(int(self.weights[v]) for v in vertices))
-
-    def total_weight(self) -> int:
-        return int(sum(int(w) for w in self.weights))
+        # build_graph keeps the total below 2^59, so the int64 sum cannot wrap
+        return int(self.weights[np.fromiter(vertices, np.int64)].sum())
 
     def edge_list(self) -> list:
         return [(int(u), int(v)) for u, v in self.edges]

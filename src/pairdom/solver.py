@@ -32,13 +32,6 @@ from .rooted import RootedBlocks, root_blocks
 from .weights import INFEASIBLE
 
 
-def require_pairable(g: WeightedGraph):
-    """Raise NoPairedDominatingSet for a graph on at most one vertex."""
-    if g.n <= 1:
-        raise NoPairedDominatingSet(
-            f"a graph on {g.n} vertex(es) has no paired-dominating set")
-
-
 def solve(g: WeightedGraph, final_root: Optional[int] = None,
           stats: Optional[dict] = None, pairs: bool = False):
     """Minimum-weight paired-dominating set of a connected block graph.
@@ -64,7 +57,9 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
     Raises NoPairedDominatingSet (n <= 1), Disconnected, NotBlockGraph.
     """
     t0 = time.perf_counter()
-    require_pairable(g)
+    if g.n <= 1:
+        raise NoPairedDominatingSet(
+            f"a graph on {g.n} vertex(es) has no paired-dominating set")
     root = 0 if final_root is None else int(final_root)
     if not 0 <= root < g.n:
         raise ValueError(f"final root {final_root} is not a vertex of a graph on {g.n}")

@@ -14,7 +14,3 @@ sentinel.
 
 INFEASIBLE = 1 << 61
 MAX_TOTAL_WEIGHT = 1 << 59
-
-
-def is_feasible(w: int) -> bool:
-    return w < INFEASIBLE

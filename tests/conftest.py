@@ -96,6 +96,12 @@ def check_vertex_states(g, root, vertices=None, where=""):
     return checked
 
 
+def pendant_blocks(bct):
+    """Blocks holding exactly one cut vertex: the leaves of the block-cut tree."""
+    return [b for b in range(bct.num_blocks)
+            if int(bct.is_cut[bct.block_vertices(b)].sum()) == 1]
+
+
 def assert_valid_elimination(g, bct=None):
     """Each listed block must be pendant in the tree remaining after its
     predecessors are removed (at most one cut vertex shared with what is

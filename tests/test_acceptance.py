@@ -17,7 +17,7 @@ from pairdom import (StateKind, chain_of_triangles, enumerate_block_graphs,
                      random_block_graph, solve)
 
 from conftest import (GOLDEN_PENDANT_SETS, GOLDEN_WEIGHT, check_vertex_states,
-                      golden_graph, sweep)
+                      golden_graph, pendant_blocks, sweep)
 
 RANDOM_COUNT = 5000
 RANDOM_FAMILIES = [(5, 3), (3, 4), (2, 5), (4, 3), (11, 2), (1, 6), (6, 2), (2, 6)]
@@ -118,7 +118,7 @@ def test_a4_golden_instance():
     assert bct.num_blocks == 8
     assert len(bct.cut_vertices) == 6
     pendant = {frozenset(int(v) + 1 for v in bct.block_vertices(b))
-               for b in bct.pendant_blocks()}
+               for b in pendant_blocks(bct)}
     assert pendant == GOLDEN_PENDANT_SETS
     vset, weight = solve(g)
     ref = oracle_min_pds(g)

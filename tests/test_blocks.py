@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairdom import (Disconnected, NotBlockGraph, build_graph, find_blocks,
-                     first_non_clique_block, is_block_graph,
-                     random_block_graph, to_dot)
+                     is_block_graph, random_block_graph, to_dot)
+from pairdom.blocks import first_non_clique_block
 
 from conftest import (GOLDEN_PENDANT_SETS, assert_valid_elimination,
-                      clique_graph, cycle_graph, path_graph)
+                      clique_graph, cycle_graph, path_graph, pendant_blocks)
 from tarjan import check_witness
 
 
@@ -54,7 +54,7 @@ def test_golden_decomposition(golden):
     assert bct.num_blocks == 8
     assert len(bct.cut_vertices) == 6
     pendant = {frozenset(int(v) + 1 for v in bct.block_vertices(b))
-               for b in bct.pendant_blocks()}
+               for b in pendant_blocks(bct)}
     assert pendant == GOLDEN_PENDANT_SETS
     # counting identity over the blocks
     assert int(bct.block_ptr[-1]) == golden.n + bct.num_blocks - 1
@@ -80,7 +80,7 @@ def test_tree_blocks_are_edges():
     tree = build_graph(5, [1] * 5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     bct = find_blocks(tree)
     assert bct.num_blocks == tree.m
-    assert all(bct.block_size(b) == 2 for b in range(bct.num_blocks))
+    assert all(len(bct.block_vertices(b)) == 2 for b in range(bct.num_blocks))
 
 
 def test_elimination_single_block():
@@ -121,7 +121,7 @@ def test_find_blocks_idempotent():
 def test_counting_identity_and_valid_order(seed, nb):
     g = random_block_graph(nb, 4, 5, seed=seed)
     bct = find_blocks(g)
-    sizes = [bct.block_size(b) for b in range(bct.num_blocks)]
+    sizes = [len(bct.block_vertices(b)) for b in range(bct.num_blocks)]
     assert sum(sizes) == g.n + bct.num_blocks - 1
     assert bct.num_blocks <= max(1, g.n - 1)
     assert_valid_elimination(g, bct)
@@ -132,3 +132,4 @@ def test_dot_export(golden):
     assert dot.startswith("graph")
     assert dot.count("shape=box") == 8
     assert dot.count("shape=circle") == 6
+    assert dot.count(" -- ") == 8 + 6 - 1

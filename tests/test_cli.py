@@ -26,6 +26,8 @@ w 2 3
 e 1 2
 """
 
+P3_TEXT = "p pdom 3 2\nw 1 1\nw 2 1\nw 3 1\ne 1 2\ne 2 3\n"
+
 C4_TEXT = """p pdom 4 4
 w 1 1
 w 2 1
@@ -436,7 +438,7 @@ def test_cli_verify(capsys):
     assert "verified 25 instances" in capsys.readouterr().out
 
 
-# ----------------------------------------------------------- decompose, bench
+# ------------------------------------------------------------------ decompose
 
 def test_cli_decompose(tmp_path, capsys):
     path = _write(tmp_path, "g.pd", format_instance(golden_graph()))
@@ -449,7 +451,7 @@ def test_cli_decompose(tmp_path, capsys):
 
 
 def test_cli_decompose_numbers_blocks_deepest_first(tmp_path, capsys):
-    path = _write(tmp_path, "p3.pd", "p pdom 3 2\nw 1 1\nw 2 1\nw 3 1\ne 1 2\ne 2 3\n")
+    path = _write(tmp_path, "p3.pd", P3_TEXT)
     assert main(["decompose", path]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "blocks 2", "cut-vertices 1", "block 1: 2 3", "block 2: 1 2", "cuts: 2",
@@ -457,9 +459,22 @@ def test_cli_decompose_numbers_blocks_deepest_first(tmp_path, capsys):
 
 
 def test_cli_decompose_dot(tmp_path, capsys):
+    path = _write(tmp_path, "p3.pd", P3_TEXT)
+    assert main(["decompose", path, "--dot"]) == 0
+    assert capsys.readouterr().out == (
+        'graph blockcut {\n'
+        '  B1 [shape=box, label="B1: 3 2"];\n'
+        '  B2 [shape=box, label="B2: 2 1"];\n'
+        '  c2 [shape=circle, label="2"];\n'
+        '  B1 -- c2;\n'
+        '  B2 -- c2;\n'
+        '}\n')
     path = _write(tmp_path, "g.pd", format_instance(golden_graph()))
     assert main(["decompose", path, "--dot"]) == 0
-    assert capsys.readouterr().out.startswith("graph")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "graph blockcut {" and lines[-1] == "}"
+    # one edge per block-cut incidence: a tree on 8 blocks and 6 cut vertices
+    assert sum(" -- " in line for line in lines) == 8 + 6 - 1
 
 
 @pytest.mark.parametrize("flags", [[], ["--dot"]], ids=["text", "dot"])
@@ -470,16 +485,7 @@ def test_cli_decompose_rejects_non_block_graph(tmp_path, capsys, flags):
     assert out == "" and err.startswith("error: vertices 3 and 1 lie on a cycle")
 
 
-def test_cli_bench_smoke(capsys):
-    assert main(["bench", "--chain", "50", "--repeat", "1"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("n 101 blocks 50")
-    assert "time" in out
-
-
 @pytest.mark.parametrize("argv", [
-    ["bench", "--chain", "10", "--repeat", "0"],
-    ["bench", "--chain", "0"],
     ["gen", "--blocks", "0"],
     ["gen", "--blocks", "3", "--max-size", "1"],
     ["gen", "--blocks", "3", "--wmax", "0"],

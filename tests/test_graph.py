@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pairdom.arraydp
 import pairdom.rooted
 from pairdom import (DuplicateEdge, NotBlockGraph, OutOfRange, SelfLoop,
-                     WeightOverflow, build_graph, chain_of_triangles,
+                     VertexSet, WeightOverflow, build_graph, chain_of_triangles,
                      enumerate_block_graphs, has_perfect_matching, is_connected,
                      is_dominating_set, is_paired_dominating_set,
                      random_block_graph, solve)
@@ -24,7 +24,12 @@ def test_build_k2():
     g = build_graph(2, [5, 3], [(0, 1)])
     assert (g.n, g.m, g.max_degree) == (2, 1, 1)
     assert list(g.neighbors(0)) == [1]
-    assert g.total_weight() == 8
+    assert int(g.weights.sum()) == 8
+    # weight_of takes any iterable of ids, the empty one too, and gives an int
+    for vertices, weight in [([0, 1], 8), ((v for v in [1]), 3), ((), 0)]:
+        got = g.weight_of(vertices)
+        assert got == weight and type(got) is int
+    assert VertexSet.from_iterable(g, []) == VertexSet((), 0)
 
 
 def test_build_k3():
@@ -64,7 +69,7 @@ def test_build_rejects_total_overflow():
 
 def test_zero_weight_allowed():
     g = build_graph(2, [0, 0], [(0, 1)])
-    assert g.total_weight() == 0
+    assert int(g.weights.sum()) == 0
 
 
 def test_is_connected():
