@@ -2,7 +2,7 @@
 """Wall-time scaling of the solver on triangle chains or random block graphs.
 
 Doubles the instance size across a range.  Each instance is written to a
-temporary ``.pd`` file in the canonical layout and loaded by
+temporary ``.pd`` file by ``save_instance`` and loaded by
 ``load_instance`` in a fresh Python process: ``load_s`` is the load's
 seconds (the parse scan and ``build_graph``) and ``load_mb`` its peak
 resident memory over that process's memory just before it.  The script
@@ -34,10 +34,9 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 import pairdom
-from pairdom import chain_of_triangles, is_paired_dominating_set, random_block_graph, solve
+from pairdom import (chain_of_triangles, is_paired_dominating_set, random_block_graph,
+                     save_instance, solve)
 
 STAGES = ("decompose_s", "sweep_s", "reconstruct_s")     # seconds that solve's stats report
 FAMILIES = {      # the instance of 2**exp blocks
@@ -45,7 +44,6 @@ FAMILIES = {      # the instance of 2**exp blocks
     "random": lambda exp: random_block_graph(2 ** exp, 12, 100, seed=exp),
 }
 MIN_EXP = 10
-ROWS = 1 << 16      # lines formatted per write
 # a fresh process: its VmHWM (peak resident memory, in kB) starts at the
 # exec, where getrusage's maximum would carry over the spawning process's
 LOAD = """
@@ -73,7 +71,7 @@ def run(family: str, max_exp: int, repeat: int) -> None:
         g = make(exp)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "instance.pd"
-            _write(g, path)
+            save_instance(g, path)
             load_s, load_mb = min(_timed_load(path) for _ in range(repeat))
         runs = [(_timed_solve(g), _timed_check(g)) for _ in range(repeat)]   # interleaved
         best, stats = min((plain for plain, _ in runs), key=lambda run: run[0])
@@ -84,20 +82,6 @@ def run(family: str, max_exp: int, repeat: int) -> None:
         print(f"{blocks:>10} {g.n:>10} {load_s:>8.3f} {load_mb:>8.1f} {best:>10.4f} "
               f"{rate:>10.1f} {stages} {check:>10.4f} {checked / best - 1:>+7.1%}{growth}")
         prev = best
-
-
-def _write(g, path):
-    """The text ``save_instance`` writes for ``g``, formatted ``ROWS`` lines
-    at a time.  ``format_instance`` holds a string per line: on 2**20
-    triangles it took 9.0 s and 796 MiB on a 2-vCPU VM, and this 3.2 s
-    and 104 MiB."""
-    edges = g.edges[np.lexsort((g.edges[:, 1], g.edges[:, 0]))] + 1
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(f"p pdom {g.n} {g.m}\n")
-        for kind, cols in [("w", (np.arange(1, g.n + 1), g.weights)), ("e", edges.T)]:
-            for i in range(0, cols[0].shape[0], ROWS):
-                f.write("".join(f"{kind} {a} {b}\n" for a, b in
-                                zip(cols[0][i:i + ROWS].tolist(), cols[1][i:i + ROWS].tolist())))
 
 
 def _timed_load(path):

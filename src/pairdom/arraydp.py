@@ -370,7 +370,7 @@ class TreePlan:
 
     def __init__(self, rb: RootedBlocks):
         n = rb.parent.shape[0]
-        inner = rb.order[(rb.block_hi > rb.block_lo)[rb.order]]   # root first
+        inner = rb.order[np.bincount(rb.attach, minlength=n)[rb.order] > 0]   # root first
         k = inner.shape[0]
         index = np.full(n, -1, dtype=np.int64)
         index[inner] = np.arange(k)

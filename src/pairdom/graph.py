@@ -1,14 +1,14 @@
 """Vertex-weighted undirected graphs and the domination predicates.
 
-The graph is stored in CSR form (``adj_indptr``/``adj_indices``) so the
-same object feeds both the pure-Python predicates and the array kernels.
-Vertex ids are dense 0-based integers; instance files use 1-based ids and
-are converted at the I/O boundary.
+A graph stores its weights and its adjacency in CSR form (``adj_indptr``/
+``adj_indices``, neighbours ascending) and derives everything else.  Vertex
+ids are dense 0-based integers; instance files use 1-based ids and are
+converted at the I/O boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,21 +19,40 @@ from .weights import MAX_TOTAL_WEIGHT
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Simple undirected graph with nonnegative integer vertex weights."""
+    """Simple undirected graph with nonnegative integer vertex weights.
+    ``m``, ``max_degree`` and ``edges`` are derived from the CSR, ``edges``
+    in O(n + m) on every access: a caller that reads it often keeps it."""
 
     n: int
-    m: int
     weights: np.ndarray            # int64[n]
     adj_indptr: np.ndarray         # int64[n + 1]
-    adj_indices: np.ndarray        # int64[2 * m]
-    max_degree: int
-    edges: np.ndarray = field(repr=False)   # int64[m, 2], each row u < v
+    adj_indices: np.ndarray        # int64[2 * m], each vertex's neighbours ascending
+
+    @property
+    def m(self) -> int:
+        return self.adj_indices.shape[0] // 2
+
+    @property
+    def max_degree(self) -> int:
+        return int(np.diff(self.adj_indptr).max(initial=0))
+
+    @property
+    def edges(self) -> np.ndarray:
+        """int64[m, 2]: each edge once as a row u < v, the rows sorted.
+        A view of a (2, m) array, so each column is contiguous."""
+        src = self._sources(np.min_scalar_type(self.n))    # fewer fresh pages to fault in
+        up = np.flatnonzero(src < self.adj_indices)
+        out = np.empty((2, up.shape[0]), dtype=np.int64)
+        out[0] = src[up]
+        np.take(self.adj_indices, up, out=out[1])
+        return out.T
+
+    def _sources(self, dtype=np.int64) -> np.ndarray:
+        """Each arc's source: with ``adj_indices``, the arcs in key order src * n + dst."""
+        return np.repeat(np.arange(self.n, dtype=dtype), np.diff(self.adj_indptr))
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.adj_indices[self.adj_indptr[v]:self.adj_indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.adj_indptr[v + 1] - self.adj_indptr[v])
 
     def weight_of(self, vertices: Iterable[int]) -> int:
         # build_graph keeps the total below 2^59, so the int64 sum cannot wrap
@@ -98,50 +117,31 @@ def build_graph(n: int, weights: Sequence[int], edges) -> WeightedGraph:
     if e.ndim != 2 or e.shape[1] != 2:
         raise OutOfRange("edges must be pairs of vertex ids")
     m = e.shape[0]
-    if m:
-        if int(e.min()) < 0 or int(e.max()) >= n:
-            bad = e[(e < 0).any(axis=1) | (e >= n).any(axis=1)][0]
-            raise OutOfRange(f"edge ({int(bad[0])}, {int(bad[1])}) is out of range for n={n}")
-        loops = e[:, 0] == e[:, 1]
-        if loops.any():
-            v = int(e[int(np.argmax(loops)), 0])
-            raise SelfLoop(f"edge ({v}, {v}) is a self loop")
-        canon = np.empty((m, 2), dtype=np.int64)
-        lo, hi = canon[:, 0], canon[:, 1]
-        np.minimum(e[:, 0], e[:, 1], out=lo)
-        np.maximum(e[:, 0], e[:, 1], out=hi)
-        # one sort of the arc keys src * n + dst gives the CSR, neighbours
-        # ascending; the smallest repeated arc key is the smallest
-        # repeated edge key lo * n + hi
-        arcs = np.empty(2 * m, dtype=np.int64)
-        np.multiply(lo, n, out=arcs[:m])
-        arcs[:m] += hi
-        np.multiply(hi, n, out=arcs[m:])
-        arcs[m:] += lo
-        arcs.sort()
-        repeated = np.flatnonzero(arcs[1:] == arcs[:-1])
-        if repeated.size:
-            k = int(arcs[repeated[0]])
-            raise DuplicateEdge(f"edge ({k // n}, {k % n}) appears more than once")
-        indices = np.remainder(arcs, n, out=arcs)
-        deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        max_deg = int(deg.max())
-    else:
-        canon = np.empty((0, 2), dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = np.empty(0, dtype=np.int64)
-        max_deg = 0
-    return WeightedGraph(
-        n=n,
-        m=m,
-        weights=w_arr,
-        adj_indptr=indptr,
-        adj_indices=indices,
-        max_degree=max_deg,
-        edges=canon,
-    )
+    if m and (int(e.min()) < 0 or int(e.max()) >= n):
+        bad = e[(e < 0).any(axis=1) | (e >= n).any(axis=1)][0]
+        raise OutOfRange(f"edge ({int(bad[0])}, {int(bad[1])}) is out of range for n={n}")
+    loops = e[:, 0] == e[:, 1]
+    if loops.any():
+        v = int(e[int(np.argmax(loops)), 0])
+        raise SelfLoop(f"edge ({v}, {v}) is a self loop")
+    # one sort of the arc keys src * n + dst, each edge both ways round,
+    # gives the CSR with neighbours ascending; the smallest repeated arc
+    # key is the smallest repeated edge key lo * n + hi
+    u, v = e[:, 0], e[:, 1]
+    arcs = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=arcs[:m])
+    arcs[:m] += v
+    np.multiply(v, n, out=arcs[m:])
+    arcs[m:] += u
+    arcs.sort()
+    repeated = np.flatnonzero(arcs[1:] == arcs[:-1])
+    if repeated.size:
+        k = int(arcs[repeated[0]])
+        raise DuplicateEdge(f"edge ({k // n}, {k % n}) appears more than once")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
+    return WeightedGraph(n=n, weights=w_arr, adj_indptr=indptr,
+                         adj_indices=np.remainder(arcs, n, out=arcs))
 
 
 def search_order(g: WeightedGraph, root: int) -> np.ndarray:
@@ -172,10 +172,8 @@ def is_dominating_set(g: WeightedGraph, s) -> bool:
     ids = np.asarray(s, dtype=np.int64) if isinstance(s, np.ndarray) else np.fromiter(s, np.int64)
     member = np.zeros(g.n, dtype=bool)
     member[ids[(ids >= 0) & (ids < g.n)]] = True
-    u, v = g.edges[:, 0], g.edges[:, 1]
     dominated = member.copy()
-    dominated[v[member[u]]] = True
-    dominated[u[member[v]]] = True
+    dominated[g.adj_indices[member[g._sources()]]] = True
     return bool(dominated.all())
 
 
@@ -243,7 +241,7 @@ def is_paired_dominating_set(g: WeightedGraph, s, pairs=None) -> bool:
         if not np.array_equal(np.bincount(p.ravel(), minlength=n), member):
             return False
         # the arc keys src * n + dst of the CSR are sorted
-        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.adj_indptr)) * n + g.adj_indices
+        keys = g._sources() * n + g.adj_indices
         want = p[:, 0] * n + p[:, 1]
         at = np.searchsorted(keys, want)
         hit = at < keys.shape[0]

@@ -20,6 +20,7 @@ from .errors import ParseError
 from .graph import WeightedGraph, build_graph
 
 _SLICE = 1 << 16    # bytes a numpy pass reads; more outgrow malloc's 128 KiB mmap threshold
+_ROWS = 1 << 16     # lines the writer formats at a time
 _HEAD = re.compile(rb"(?:c[ -\x7f]*\n|\n)*p pdom (\d{1,18}) (\d{1,18})(?:\n|\Z)")
 
 
@@ -111,13 +112,16 @@ def _parse_fast(data):
 def format_instance(g: WeightedGraph, comments: Iterable[str] = ()) -> str:
     """Canonical text form: comments, header, weights ascending, edges
     sorted ascending.  Byte-stable for a given graph."""
-    out = [f"c {c}" for c in comments]
-    out.append(f"p pdom {g.n} {g.m}")
-    for v in range(g.n):
-        out.append(f"w {v + 1} {int(g.weights[v])}")
-    for u, v in sorted((int(u), int(v)) for u, v in g.edges):
-        out.append(f"e {u + 1} {v + 1}")
-    return "\n".join(out) + "\n"
+    return "".join(_chunks(g, comments))
+
+
+def _chunks(g: WeightedGraph, comments: Iterable[str]):
+    """The canonical text in pieces of at most ``_ROWS`` lines each."""
+    yield "".join(f"c {c}\n" for c in comments) + f"p pdom {g.n} {g.m}\n"
+    for kind, a, b in [("w", np.arange(1, g.n + 1), g.weights), ("e", *(g.edges + 1).T)]:
+        for i in range(0, a.shape[0], _ROWS):
+            yield "".join(f"{kind} {x} {y}\n" for x, y in
+                          zip(a[i:i + _ROWS].tolist(), b[i:i + _ROWS].tolist()))
 
 
 def load_instance(path) -> WeightedGraph:
@@ -144,4 +148,4 @@ def _read(path) -> bytes:
 
 def save_instance(g: WeightedGraph, path, comments: Iterable[str] = ()) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(format_instance(g, comments))
+        f.writelines(_chunks(g, comments))

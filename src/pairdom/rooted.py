@@ -36,19 +36,15 @@ class RootedBlocks:
 
     ``kids`` lists the non-root vertices grouped by block, and the blocks
     are grouped by attachment in search order: block ``b`` is
-    ``attach[b]`` plus ``kids[block_ptr[b]:block_ptr[b + 1]]``, and vertex
-    ``v`` is the attachment of blocks ``block_lo[v]`` to ``block_hi[v] - 1``.
+    ``attach[b]`` plus ``kids[block_ptr[b]:block_ptr[b + 1]]``.
     """
 
-    root: int
     order: np.ndarray           # vertices in search order, root first
     parent: np.ndarray          # attachment of each vertex's upper block; -1 at the root
     kids: np.ndarray
     block_ptr: np.ndarray       # int64[num_blocks + 1]
     attach: np.ndarray          # int64[num_blocks]
     block_of: np.ndarray        # block in which each vertex is a child; -1 at the root
-    block_lo: np.ndarray        # first block attached at each vertex
-    block_hi: np.ndarray        # one past its last block (== block_lo if none)
 
     @property
     def num_blocks(self) -> int:
@@ -75,9 +71,31 @@ def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
     rank[order] = np.arange(n, dtype=np.int64)
     parent = order[np.minimum.reduceat(rank[g.adj_indices], g.adj_indptr[:-1])]
     parent[root] = -1
+    kids = order[1:]
+    label = _sibling_labels(g, rank, parent, kids)
 
-    # every edge joins a vertex to its parent or two siblings
-    u, v = g.edges[:, 0], g.edges[:, 1]
+    # blocks: children grouped by (parent rank, label); search order
+    # already groups them by parent
+    key = rank[parent[kids]] * n + label[kids]
+    perm = np.argsort(key, kind="stable")
+    kids = kids[perm]
+    key = key[perm]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    block_ptr = np.append(starts, n - 1)
+    attach = parent[kids[starts]]
+    block_of = np.full(n, -1, dtype=np.int64)
+    block_of[kids] = np.repeat(np.arange(starts.shape[0], dtype=np.int64), np.diff(block_ptr))
+    return RootedBlocks(order=order, parent=parent, kids=kids,
+                        block_ptr=block_ptr, attach=attach, block_of=block_of)
+
+
+def _sibling_labels(g: WeightedGraph, rank, parent, kids) -> np.ndarray:
+    """Each vertex's label, the smallest vertex of its sibling clique.
+    Raises NotBlockGraph unless every edge joins a vertex to its parent or
+    two siblings and the sibling edges split each parent's children into
+    cliques.  The edge arrays live only here."""
+    n = g.n
+    u, v = g.edges.T        # sorted, so a witness depends on the graph alone
     pu, pv = parent[u], parent[v]
     sib = pu == pv
     cross = ~(sib | (pu == v) | (pv == u))
@@ -101,7 +119,6 @@ def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
             a, b = b, a
         c = int(label[a])
         raise _not_clique([int(parent[a]), c, a, b], c, b)
-    kids = order[1:]
     size = np.bincount(label[kids], minlength=n)
     short = np.bincount(lsu, minlength=n) != size * (size - 1) // 2
     if short.any():
@@ -116,27 +133,7 @@ def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
         near[g.neighbors(x)] = near[x] = True
         y = int(members[~near[members]][0])
         raise _not_clique([int(parent[x]), x, c, y], x, y)
-
-    # blocks: children grouped by (parent rank, label); search order
-    # already groups them by parent
-    key = rank[parent[kids]] * n + label[kids]
-    perm = np.argsort(key, kind="stable")
-    kids = kids[perm]
-    key = key[perm]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    nb = starts.shape[0]
-    block_ptr = np.append(starts, n - 1)
-    attach = parent[kids[starts]]
-    block_of = np.full(n, -1, dtype=np.int64)
-    block_of[kids] = np.repeat(np.arange(nb, dtype=np.int64), np.diff(block_ptr))
-    first = np.flatnonzero(np.diff(attach, prepend=-1))
-    block_lo = np.zeros(n, dtype=np.int64)
-    block_hi = np.zeros(n, dtype=np.int64)
-    block_lo[attach[first]] = first
-    block_hi[attach[first]] = np.append(first[1:], nb)
-    return RootedBlocks(root=root, order=order, parent=parent, kids=kids,
-                        block_ptr=block_ptr, attach=attach, block_of=block_of,
-                        block_lo=block_lo, block_hi=block_hi)
+    return label
 
 
 def _cross_edge(g: WeightedGraph, rank, parent, u: int, v: int) -> NotBlockGraph:

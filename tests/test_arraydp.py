@@ -151,6 +151,10 @@ def test_rejection_messages():
     assert got.value.witness == {"root": 0, "unreached": 2}
 
 
+# two 4-cycles glued at vertex 0
+TWO_C4 = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)]
+
+
 def _k4_without(edge):
     return build_graph(4, [1] * 4, [e for e in clique_graph(4).edge_list() if e != edge])
 
@@ -167,7 +171,11 @@ def _k4_without(edge):
     (_k4_without((0, 3)), {"cycle": [2, 0, 1, 3], "pair": [3, 0]}),
     (_k4_without((1, 3)), {"cycle": [0, 1, 2, 3], "pair": [1, 3]}),
     (_k4_without((2, 3)), {"cycle": [0, 2, 1, 3], "pair": [2, 3]}),
-], ids=["cross-c4", "cross-c6", "cross-other-pair", "mixed-labels", "short-group"])
+    # the same graph in three edge orders: the witness is the graph's own
+    *[(build_graph(7, [1] * 7, edges), {"cycle": [2, 1, 0, 3], "pair": [2, 0]})
+      for edges in (TWO_C4, TWO_C4[4:] + TWO_C4[:4], [(v, u) for u, v in reversed(TWO_C4)])],
+], ids=["cross-c4", "cross-c6", "cross-other-pair", "mixed-labels", "short-group",
+        "two-c4", "two-c4-rotated", "two-c4-reversed"])
 def test_witness_of_each_rejection(g, witness):
     with pytest.raises(NotBlockGraph) as got:
         root_blocks(g, 0)

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import pairdom
-from pairdom import (ParseError, chain_of_triangles, format_instance, parse_instance,
-                     random_block_graph)
+from pairdom import (ParseError, build_graph, chain_of_triangles, format_instance,
+                     parse_instance, random_block_graph)
 from pairdom import _linewise, instance_io
 from pairdom.cli import main
 
@@ -244,9 +244,12 @@ def test_canonical_crlf_file_skips_line_loop(tmp_path, monkeypatch):
     assert [_outcome(instance_io.load_instance, p) for p in paths] == [expected] * 3
 
 
-@pytest.mark.parametrize("g", [chain_of_triangles(10 ** 4),
-                               random_block_graph(2000, 12, 100, seed=1)],
-                         ids=["chain", "cliques"])
+PEAK_GRAPHS = pytest.mark.parametrize(
+    "g", [chain_of_triangles(10 ** 4), random_block_graph(2000, 12, 100, seed=1)],
+    ids=["chain", "cliques"])
+
+
+@PEAK_GRAPHS
 def test_sliced_parser_peak_memory(g):
     """The numpy parser holds the text's bytes, its outputs (n weights and
     2m edge ids) and one slice's arrays: at most 1 MiB above the first two."""
@@ -258,6 +261,22 @@ def test_sliced_parser_peak_memory(g):
     finally:
         tracemalloc.stop()
     assert peak <= len(text) + 8 * (g.n + 2 * g.m) + 2 ** 20, peak
+
+
+@PEAK_GRAPHS
+def test_build_graph_peak_memory(g):
+    """build_graph allocates the 2m int64 arc keys that become
+    ``adj_indices``, and ``adj_indptr`` with at most two more temporaries
+    of its size: no edge-sized copy of the input."""
+    parsed = instance_io._parse_fast(format_instance(g))
+    tracemalloc.start()
+    try:
+        built = build_graph(*parsed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.m == g.m
+    assert peak <= 16 * g.m + 24 * (g.n + 1) + 2 ** 16, peak
 
 
 # ---------------------------------------------------------------------- solve

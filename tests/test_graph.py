@@ -1,6 +1,8 @@
 """Graph construction and the domination predicates."""
 
 import itertools
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from pairdom import (DuplicateEdge, NotBlockGraph, OutOfRange, SelfLoop,
 from pairdom.oracle import _tables
 from pairdom.weights import MAX_TOTAL_WEIGHT
 
-from conftest import clique_graph, cycle_graph, golden_graph, path_graph
+from conftest import (GOLDEN_BLOCKS, GOLDEN_N, clique_graph, cycle_graph, golden_graph,
+                      path_graph)
 
 
 def test_build_k2():
@@ -35,6 +38,43 @@ def test_build_k2():
 def test_build_k3():
     g = build_graph(3, [1, 1, 1], [(0, 1), (1, 2), (0, 2)])
     assert (g.n, g.m, g.max_degree) == (3, 3, 2)
+
+
+def _random_edges():
+    g = random_block_graph(60, 6, 10, seed=4)
+    return g.n, g.edge_list()
+
+
+# (n, edges) as the fixture builders pass them to build_graph
+EDGE_LISTS = [
+    (GOLDEN_N, [(a - 1, b - 1) for blk in GOLDEN_BLOCKS for a, b in itertools.combinations(blk, 2)]),
+    (6, [(i, (i + 1) % 6) for i in range(6)]),
+    (5, list(itertools.combinations(range(5), 2))),
+    (4, [(i, i + 1) for i in range(3)]),
+    (1, []),
+    (0, []),
+    _random_edges(),
+]
+
+
+@pytest.mark.parametrize("n, edges", EDGE_LISTS,
+                         ids=["golden", "c6", "k5", "p4", "k1", "empty", "random60"])
+def test_edges_are_the_sorted_input_set(n, edges):
+    """``edges`` lists each input edge once as u < v, the rows sorted,
+    whatever the order of the input and of each pair; ``m`` and
+    ``max_degree`` count the input."""
+    rng = random.Random(n)
+    want = sorted((min(e), max(e)) for e in edges)
+    degree = Counter(v for e in edges for v in e)
+    for _ in range(5):
+        shuffled = [e[::-1] if rng.random() < 0.5 else e for e in rng.sample(edges, len(edges))]
+        g = build_graph(n, [1] * n, shuffled)
+        got = g.edges
+        assert got.dtype == np.int64 and got.shape == (len(edges), 2)
+        assert (got[:, 0] < got[:, 1]).all()
+        assert (np.lexsort((got[:, 1], got[:, 0])) == np.arange(len(edges))).all()
+        assert got.tolist() == [list(e) for e in want]
+        assert (g.m, g.max_degree) == (len(edges), max(degree.values(), default=0))
 
 
 def test_build_rejects_self_loop():
