@@ -9,6 +9,8 @@ converted at the I/O boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import length_hint
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -144,21 +146,88 @@ def build_graph(n: int, weights: Sequence[int], edges) -> WeightedGraph:
                          adj_indices=np.remainder(arcs, n, out=arcs))
 
 
+_RUN = 64        # vertices the loop pops between two looks at the queue
+_WIDE = 128      # waiting vertices from which numpy steps expand the queue
+
+
 def search_order(g: WeightedGraph, root: int) -> np.ndarray:
-    """Breadth-first order of the vertices reachable from ``root``."""
+    """Breadth-first order of the vertices reachable from ``root``: each
+    vertex's neighbours ascending, the unseen ones appended to the queue.
+
+    The search switches between two modes by the length of the queue.
+    While it is thin, a Python loop pops ``_RUN`` vertices at a time.
+    When at least ``_WIDE`` vertices wait after a run, numpy steps expand
+    all of them at once, and then the vertices each step finds, until
+    fewer than ``_WIDE`` wait; the loop takes those.  A step gathers the
+    waiting vertices' neighbour ranges in queue order, drops the vertices
+    already found and keeps the first occurrence of each of the rest.
+    That is what the loop would append, in its order, so the result does
+    not depend on the mode.
+
+    A step costs O(its vertices and their arcs): it finds a vertex that
+    two waiting vertices share by stamping each found vertex with its
+    place in the step, and sorts only then, which never happens on a
+    block graph.  The loop learns what the steps found by one assignment
+    per vertex, or, once they found at least n / 8 vertices, from the
+    stamps in O(n).  So the search takes O(n + m).
+    """
     ptr = g.adj_indptr.tolist()
-    lo, hi = ptr[:-1], ptr[1:]
+    hi = ptr[1:]
     adj = memoryview(g.adj_indices)     # as fast as a list here, and no copy
     seen = [False] * g.n
     seen[root] = True
-    order = [root]
+    order = [root]                      # the vertices the loop pops
     append = order.append
-    for u in order:
-        for v in adj[lo[u]:hi[u]]:
-            if not seen[v]:
-                seen[v] = True
-                append(v)
-    return np.array(order, dtype=np.int64)
+    queue = iter(order)                 # a list iterator also yields what is appended
+    parts = []                          # the search order before order[cut:]
+    cut = 0
+    stamp = None                        # >= 0 for the vertices found, once a step runs
+    while True:
+        for u in islice(queue, _RUN):
+            for v in adj[ptr[u]:hi[u]]:
+                if not seen[v]:
+                    seen[v] = True
+                    append(v)
+        waiting = length_hint(queue)
+        if waiting < _WIDE:
+            if waiting:
+                continue
+            if not parts:
+                return np.array(order, dtype=np.int64)
+            parts.append(np.array(order[cut:], dtype=np.int64))
+            return np.concatenate(parts)
+        if stamp is None:
+            stamp = np.full(g.n, -1, dtype=np.int64)
+        tail = np.array(order[cut:], dtype=np.int64)
+        stamp[tail] = 0
+        parts.append(tail)
+        steps = [tail[tail.shape[0] - waiting:]]
+        while steps[-1].shape[0] >= _WIDE:
+            steps.append(_expand(g, steps[-1], stamp))
+        next(islice(queue, waiting, waiting), None)         # the steps expanded these
+        parts += steps[1:-1]
+        cut = len(order)
+        order += steps[-1].tolist()
+        if 8 * sum(map(len, steps[1:])) >= g.n:     # then O(n) is the cheaper way
+            seen = (stamp >= 0).tolist()
+        else:
+            for found in steps[1:]:
+                for v in found.tolist():
+                    seen[v] = True
+
+
+def _expand(g: WeightedGraph, front: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """The vertices that expanding ``front`` in order finds, stamped."""
+    lo = g.adj_indptr[front]
+    cnt = g.adj_indptr[front + 1] - lo
+    ends = np.cumsum(cnt)
+    near = g.adj_indices[np.repeat(lo - ends + cnt, cnt) + np.arange(ends[-1])]
+    near = near[stamp[near] < 0]
+    place = np.arange(near.shape[0])
+    stamp[near] = place
+    if np.array_equal(stamp[near], place):
+        return near
+    return near[np.sort(np.unique(near, return_index=True)[1])]    # first occurrences
 
 
 def is_connected(g: WeightedGraph) -> bool:

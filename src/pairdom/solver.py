@@ -47,8 +47,9 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
     the root.
 
     If ``stats`` is a dict, it receives ``blocks`` (the number of blocks)
-    and the seconds of each stage: ``decompose_s``, ``sweep_s`` and
-    ``reconstruct_s`` (building the pairs, if asked, included).
+    and the seconds of each stage: ``decompose_s``, ``plan_s`` (laying out
+    the heavy paths and rounds), ``sweep_s`` and ``reconstruct_s``
+    (building the pairs, if asked, included).
 
     With ``pairs=True`` it returns ``(VertexSet, weight, pairs)``: the
     perfect matching of the set that the states fix, one edge per int64
@@ -68,6 +69,7 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
     t1 = time.perf_counter()
     plan = TreePlan(rb)
     rb = rb if pairs else None  # the plan keeps what the sweep needs
+    t_plan = time.perf_counter()
     val = plan.sweep(g.weights)
     t2 = time.perf_counter()
     state = plan.reconstruct(val, root)
@@ -83,8 +85,8 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
     certificate = (_pairs(rb, state),) if pairs else ()
     t3 = time.perf_counter()
     if stats is not None:
-        stats.update(blocks=num_blocks, decompose_s=t1 - t0, sweep_s=t2 - t1,
-                     reconstruct_s=t3 - t2)
+        stats.update(blocks=num_blocks, decompose_s=t1 - t0, plan_s=t_plan - t1,
+                     sweep_s=t2 - t_plan, reconstruct_s=t3 - t2)
     return (VertexSet(tuple(members.tolist()), total), weight, *certificate)
 
 

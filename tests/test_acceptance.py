@@ -157,7 +157,7 @@ def _seconds(timed):
 
 def _stages(stats):
     return ", ".join(f"{name} {stats[name + '_s']:.2f}s"
-                     for name in ("decompose", "sweep", "reconstruct"))
+                     for name in ("decompose", "plan", "sweep", "reconstruct"))
 
 
 def test_a6_structure_identities(solved_corpus):

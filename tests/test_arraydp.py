@@ -322,7 +322,7 @@ def test_stats():
     stats = {}
     solve(chain_of_triangles(5), stats=stats)
     assert stats["blocks"] == 5
-    assert all(stats[k] >= 0 for k in ("decompose_s", "sweep_s", "reconstruct_s"))
+    assert all(stats[k] >= 0 for k in ("decompose_s", "plan_s", "sweep_s", "reconstruct_s"))
 
 
 # ------------------------------------------------- pieces against loops

@@ -1,5 +1,6 @@
 """Instance file round-trips and the command-line interface."""
 
+import importlib.util
 import json
 import random
 import re
@@ -11,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import pairdom
-from pairdom import (ParseError, build_graph, chain_of_triangles, format_instance,
-                     parse_instance, random_block_graph)
+from pairdom import (ParseError, build_graph, chain_of_triangles, find_blocks,
+                     format_instance, is_block_graph, parse_instance, random_block_graph)
 from pairdom import _linewise, instance_io
 from pairdom.cli import main
+from pairdom.graph import search_order
 
 from conftest import golden_graph
 from tarjan import check_witness
@@ -279,6 +281,21 @@ def test_build_graph_peak_memory(g):
     assert peak <= 16 * g.m + 24 * (g.n + 1) + 2 ** 16, peak
 
 
+@PEAK_GRAPHS
+def test_search_order_peak_memory(g):
+    """The search holds no more than the one-vertex loop did, about 112
+    bytes a vertex: the offsets as a list of ints and a slice of it, the
+    seen flags, the order as a list of ints and as an array."""
+    tracemalloc.start()
+    try:
+        order = search_order(g, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order.shape[0] == g.n
+    assert peak <= 112 * (g.n + 1) + 2 ** 16, peak
+
+
 # ---------------------------------------------------------------------- solve
 
 def test_cli_solve(tmp_path, capsys):
@@ -533,6 +550,42 @@ def test_script_runs(args):
     script = Path(__file__).resolve().parents[1] / "scripts" / args[0]
     subprocess.run([sys.executable, str(script), *args[1:]], check=True,
                    capture_output=True, timeout=300)
+
+
+def test_bench_scaling_writes_json(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_scaling.py"
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(script), "--max-exp", "10", "--repeat", "1",
+                    "--family", "blocks", "chain", "--json", str(out)],
+                   check=True, capture_output=True, timeout=300)
+    record = json.loads(out.read_text())
+    assert set(record) == {"python", "numpy", "nproc", "commit", "backend", "rows"}
+    assert record["backend"] == "numpy" and record["nproc"] >= 1
+    keys = {"family", "blocks", "n", "m", "load_s", "load_mb", "time_s", "ns_per_block",
+            "decompose_s", "plan_s", "sweep_s", "reconstruct_s", "search_s", "check_s",
+            "with_check"}
+    assert [row["family"] for row in record["rows"]] == ["blocks", "chain"]
+    for row in record["rows"]:
+        assert set(row) == keys and row["blocks"] == 1024
+        assert all(row[k] is not None for k in keys)
+    assert record["rows"][1]["n"] == 2 * 1024 + 1
+
+
+def test_bench_blocks_family_is_a_block_graph():
+    """The script's vectorised generator makes a block graph with the
+    blocks asked for, each of 2 to 4 vertices."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_scaling", Path(__file__).resolve().parents[1] / "scripts" / "bench_scaling.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for blocks, seed in [(1, 0), (2, 3), (500, 1)]:
+        g = bench.random_blocks(blocks, seed)
+        assert is_block_graph(g)
+        bct = find_blocks(g)
+        assert bct.num_blocks == blocks
+        sizes = [len(bct.block_vertices(b)) for b in range(blocks)]
+        assert min(sizes) >= 2 and max(sizes) <= 4
+        assert 1 <= g.weights.min() and g.weights.max() <= 100
 
 
 @pytest.mark.parametrize("args", [["bench_scaling.py", "--repeat", "0"],

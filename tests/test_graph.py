@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import time
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,15 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairdom.arraydp
+import pairdom.graph
 import pairdom.rooted
 from pairdom import (DuplicateEdge, NotBlockGraph, OutOfRange, SelfLoop,
                      VertexSet, WeightOverflow, build_graph, chain_of_triangles,
                      enumerate_block_graphs, has_perfect_matching, is_connected,
                      is_dominating_set, is_paired_dominating_set,
                      random_block_graph, solve)
+from pairdom.graph import search_order
 from pairdom.oracle import _tables
 from pairdom.weights import MAX_TOTAL_WEIGHT
 
+import reference_search
 from conftest import (GOLDEN_BLOCKS, GOLDEN_N, clique_graph, cycle_graph, golden_graph,
                       path_graph)
 
@@ -117,6 +122,83 @@ def test_is_connected():
     assert not is_connected(build_graph(4, [1] * 4, [(0, 1), (2, 3)]))
     assert is_connected(build_graph(1, [1], []))
     assert is_connected(build_graph(0, [], []))
+
+
+# (run length, queue width that starts the numpy steps) of search_order
+SEARCH_MODES = pytest.mark.parametrize("run, wide", [(1, 1), (2 ** 62, 2 ** 62), (2, 3)],
+                                       ids=["steps", "loop", "mixed"])
+
+
+def _search_agrees(g, run, wide):
+    """From every root, search_order with the run length and width given
+    returns the one-vertex loop's order."""
+    with mock.patch.multiple(pairdom.graph, _RUN=run, _WIDE=wide):
+        for root in range(g.n):
+            assert np.array_equal(search_order(g, root),
+                                  reference_search.search_order(g, root)), (g.n, root)
+
+
+@st.composite
+def _any_graphs(draw):
+    """Simple graphs on 1 to 20 vertices, connected or not."""
+    n = draw(st.integers(1, 20))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return build_graph(n, [1] * n, sorted(edges))
+
+
+@SEARCH_MODES
+@settings(max_examples=150, deadline=None)
+@given(g=_any_graphs())
+def test_search_order_matches_the_loop(run, wide, g):
+    _search_agrees(g, run, wide)
+
+
+@SEARCH_MODES
+def test_search_order_matches_the_loop_on_enumerated_block_graphs(run, wide):
+    for g in enumerate_block_graphs(6):
+        _search_agrees(g, run, wide)
+
+
+def test_search_order_keeps_the_first_of_a_shared_neighbour():
+    """In C4 and K_{2,3} two waiting vertices share an unseen neighbour:
+    a step keeps it once, where the loop finds it first."""
+    k23 = build_graph(5, [1] * 5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        for g in (cycle_graph(4), k23):
+            _search_agrees(g, 1, 1)
+    assert unique.called
+
+
+def _caterpillar(vertices, leaves):
+    """A path of hubs, each followed by its ``leaves`` leaves, on at most
+    ``vertices`` vertices."""
+    hub = np.arange(vertices // (leaves + 1)) * (leaves + 1)
+    n = hub.shape[0] * (leaves + 1)
+    spine = np.column_stack((hub[:-1], hub[1:]))
+    legs = np.column_stack((np.repeat(hub, leaves),
+                            (hub[:, None] + np.arange(1, leaves + 1)).ravel()))
+    return build_graph(n, np.ones(n, dtype=np.int64), np.concatenate((spine, legs)))
+
+
+def _timed_search(g):
+    t0 = time.perf_counter()
+    search_order(g, 0)
+    return time.perf_counter() - t0
+
+
+def test_search_order_scales_linearly_on_wide_levels():
+    """A caterpillar whose hubs have 2 * _WIDE leaves each keeps the queue
+    wide, so the search runs one numpy step per hub.  A step that cost
+    O(n) would make the search quadratic: 10x the vertices must take at
+    most 20x the time, A5's bound."""
+    leaves = 2 * pairdom.graph._WIDE
+    small = _caterpillar(10 ** 5, leaves)
+    assert np.array_equal(search_order(small, 0), reference_search.search_order(small, 0))
+    t_small = min(_timed_search(small) for _ in range(3))
+    big = _caterpillar(10 ** 6, leaves)
+    t_big = min(_timed_search(big) for _ in range(2))
+    assert t_big / t_small <= 20.0, (t_small, t_big)
 
 
 def test_is_dominating_set():
