@@ -27,7 +27,7 @@ def state_problems(g, root: int) -> list:
     """Vertex states of the sweep from ``root`` that differ from the oracle
     on the subgraph below the vertex (it and its descendants)."""
     rb = root_blocks(g, root)
-    val = TreePlan(rb).sweep(g.weights)
+    val, _ = TreePlan(rb).sweep(g.weights)
     children = [[] for _ in range(g.n)]
     for v in rb.order[1:].tolist():
         children[rb.parent[v]].append(v)

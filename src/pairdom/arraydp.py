@@ -370,13 +370,15 @@ class TreePlan:
 
     def __init__(self, rb: RootedBlocks):
         n = rb.parent.shape[0]
-        inner = rb.order[np.bincount(rb.attach, minlength=n)[rb.order] > 0]   # root first
+        # the blocks come grouped by attachment in search order, root first
+        first = _heads(rb.attach)
+        inner = rb.attach[first]
         k = inner.shape[0]
         index = np.full(n, -1, dtype=np.int64)
         index[inner] = np.arange(k)
         up = index[rb.parent[inner[1:]]]            # nondecreasing: search order
         par = up.tolist()
-        desc = np.bincount(rb.parent[rb.kids], minlength=n)[inner].tolist()
+        desc = np.add.reduceat(np.diff(rb.block_ptr), first.nonzero()[0]).tolist()   # children
         for i, p in zip(range(k - 1, 0, -1), reversed(par)):
             desc[p] += desc[i]
         desc = np.array(desc, dtype=np.int64)
@@ -430,7 +432,6 @@ class TreePlan:
         self.light_bounds = np.searchsorted(self.light_seg, self.block_bounds)
         # each light child's block, counted from the first block of its round
         self.light_seg -= np.repeat(self.block_bounds[:-1], np.diff(self.light_bounds))
-        self._picks = None
 
     @property
     def rounds(self) -> int:
@@ -461,19 +462,18 @@ class TreePlan:
                                heavy_block=is_heavy.nonzero()[0], other=(~is_heavy).nonzero()[0],
                                light=self.light[l0:l1], light_seg=self.light_seg[l0:l1])
 
-    def sweep(self, weights: np.ndarray) -> np.ndarray:
-        """Weights (4, n) of every vertex; leaves keep their initial ones.
-
-        Also records, per round, the choices that :meth:`reconstruct`
-        reads back: the first cheapest pairs of both folds, each path
-        vertex's first cheapest way to each state, and which of EN, EP and
-        EI is cheapest for each block that is not heavy."""
+    def sweep(self, weights: np.ndarray) -> tuple:
+        """Weights (4, n) of every vertex, leaves keeping their initial
+        ones, and per round the choices that :meth:`reconstruct` reads
+        back: the first cheapest pairs of both folds, each path vertex's
+        first cheapest way to each state, and which of EN, EP and EI is
+        cheapest for each block that is not heavy."""
         val = np.empty((4, weights.shape[0]), dtype=np.int64)
         val[Q] = INF
         val[R] = 0
         val[P] = INF
         val[D] = weights
-        self._picks = [None] * self.rounds
+        choices = [None] * self.rounds
         for r in reversed(range(self.rounds)):
             rd = self.round(r)
             f, f_fold = _fold(val[:, rd.light], rd.light_seg, rd.owner.shape[0], F)
@@ -494,18 +494,15 @@ class TreePlan:
                 rd = f = fo = out = None        # free what the chain does not need
                 val[:, vm] = _chain(hp, g, weights[vm], seg, val[:, vb])
                 way = _chunked(_choices, hp, g, val[:, heavy[heavy >= 0]])
-            self._picks[r] = (f_fold, h_fold, way, he)
-        return val
+            choices[r] = (f_fold, h_fold, way, he)
+        return val, choices
 
-    def reconstruct(self, val: np.ndarray, root: int) -> np.ndarray:
+    def reconstruct(self, val: np.ndarray, choices: list, root: int) -> np.ndarray:
         """State of every vertex in the optimum, top down from ``root``,
-        from the choices that the last :meth:`sweep` recorded."""
-        if self._picks is None:
-            raise RuntimeError("TreePlan.reconstruct reads the choices of a sweep: "
-                               "call sweep first")
+        from the weights and choices of a :meth:`sweep`."""
         state = np.full(val.shape[1], -1, dtype=np.intp)
         state[root] = P if val[P, root] <= val[Q, root] else Q
-        for r, (f_fold, h_fold, way, he) in enumerate(self._picks):
+        for r, (f_fold, h_fold, way, he) in enumerate(choices):
             rd = self.round(r)
             mid = rd.mid
             block_t = np.empty(rd.owner.shape[0], dtype=np.intp)

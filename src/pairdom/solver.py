@@ -70,9 +70,9 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
     plan = TreePlan(rb)
     rb = rb if pairs else None  # the plan keeps what the sweep needs
     t_plan = time.perf_counter()
-    val = plan.sweep(g.weights)
+    val, choices = plan.sweep(g.weights)
     t2 = time.perf_counter()
-    state = plan.reconstruct(val, root)
+    state = plan.reconstruct(val, choices, root)
     weight = int(val[state[root], root])
     if weight >= INFEASIBLE or (state < 0).any():
         raise InternalInconsistency(

@@ -65,7 +65,7 @@ def cycle_graph(n, weights=None):
 def sweep(g, root):
     """The rooted decomposition of ``g`` and the sweep's (4, n) weights."""
     rb = root_blocks(g, root)
-    return rb, TreePlan(rb).sweep(g.weights)
+    return rb, TreePlan(rb).sweep(g.weights)[0]
 
 
 def check_vertex_states(g, root, vertices=None, where=""):

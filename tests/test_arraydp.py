@@ -468,19 +468,12 @@ def test_reconstruct_replays_the_sweep(root, monkeypatch):
     the states of an unpatched run."""
     g = random_block_graph(300, 6, 50, seed=15)
     plan = arraydp.TreePlan(root_blocks(g, root))
-    want = plan.reconstruct(plan.sweep(g.weights), root)
-    plan = arraydp.TreePlan(root_blocks(g, root))
-    val = plan.sweep(g.weights)
+    val, choices = plan.sweep(g.weights)
+    want = plan.reconstruct(val, choices, root)
 
     def fail(*args):
         raise AssertionError("the reconstruction computed a choice again")
 
     for name in ("_fold", "_choices", "_product"):
         monkeypatch.setattr(arraydp, name, fail)
-    assert plan.reconstruct(val, root).tolist() == want.tolist()
-
-
-def test_reconstruct_needs_a_sweep():
-    g = chain_of_triangles(3)
-    with pytest.raises(RuntimeError, match="call sweep first"):
-        arraydp.TreePlan(root_blocks(g, 0)).reconstruct(np.zeros((4, g.n), dtype=np.int64), 0)
+    assert plan.reconstruct(val, choices, root).tolist() == want.tolist()

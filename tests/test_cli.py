@@ -296,6 +296,21 @@ def test_search_order_peak_memory(g):
     assert peak <= 112 * (g.n + 1) + 2 ** 16, peak
 
 
+@PEAK_GRAPHS
+def test_certificate_check_peak_memory(g):
+    """The check of a pairing compares each arc's target with its source's
+    mate, gathered row by row (8 bytes an arc), and holds a few n-sized
+    arrays: the mates, the degrees, the members.  No arc keys."""
+    vset, _, pairs = pairdom.solve(g, pairs=True)
+    tracemalloc.start()
+    try:
+        assert pairdom.is_paired_dominating_set(g, vset, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 * g.m + 16 * g.n, peak
+
+
 # ---------------------------------------------------------------------- solve
 
 def test_cli_solve(tmp_path, capsys):

@@ -420,6 +420,14 @@ def test_certificate_check_on_a_graph_that_is_not_a_block_graph():
     assert not is_paired_dominating_set(clique_graph(3), set(), [])
 
 
+def test_certificate_check_refuses_pairs_not_of_two():
+    g = path_graph(6)
+    assert is_paired_dominating_set(g, range(6), [[0, 1], [2, 3], [4, 5]])
+    assert not is_paired_dominating_set(g, range(6), [[0, 1, 2], [3, 4, 5]])
+    assert not is_paired_dominating_set(g, range(6), [0, 1, 2, 3, 4, 5])
+    assert not is_paired_dominating_set(g, range(6), np.arange(6).reshape(1, 3, 2))
+
+
 def test_certificate_check_needs_no_decomposition(monkeypatch):
     g = random_block_graph(300, 5, 50, seed=4)
     vset, _, pairs = solve(g, pairs=True)

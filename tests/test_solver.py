@@ -74,7 +74,7 @@ def test_init_states():
 def test_initial_reconstruction():
     g = build_graph(2, [7, 3], [(0, 1)])
     plan = TreePlan(root_blocks(g, 0))
-    states = plan.reconstruct(plan.sweep(g.weights), 0)
+    states = plan.reconstruct(*plan.sweep(g.weights), 0)
     assert states.tolist() == [StateKind.P, StateKind.D]
 
 
