@@ -32,15 +32,15 @@ Evaluation.  With every other input fixed, a vertex's weights are
 min-plus linear in those of any one child.  The vertices are split into
 heavy paths (each vertex continues its path into the child with the
 largest subtree), and the paths are handled in rounds, deepest light
-depth first, so a path's light children are done before it.  Within a
-round, the folds and the paths share one pairing of neighbours within
-segments, level by level, and a segment drops out once it is down to
-one element (:func:`_levels`).  The folds multiply the pairs.  Along a path, x_j =
-M_j x_(j+1) with M_j a 4x4 min-plus step matrix: :func:`_paths` composes
-the pairs upward, applies the one matrix left per path to the weights
-below it, and undoes the levels downward.  A vertex lies below at most
-log2(n) light edges, so there are O(log n) rounds of O(log n) numpy
-steps each, and O(n) work in all.
+depth first, so a path's light children are done before it.  The folds
+of a round multiply over a tree on the offsets within each segment
+(:func:`_fold`).  Along a path, x_j = M_j x_(j+1) with M_j a 4x4
+min-plus step matrix.  :func:`_paths` cuts the paths from their bottoms
+into pieces of ``_PIECE`` vertices and scans them height by height, one
+numpy step per height for all pieces; the lower pieces of a long path
+are composed first, and their tops scanned the same way.  A vertex
+lies below at most log2(n) light edges, so there are O(log n) rounds of
+O(log n) scans, and O(n) work in all.
 
 Reconstruction reads back what the sweep chose.  Each choice takes the
 first minimum in a fixed order: the pair order of the folds, and along a
@@ -50,9 +50,9 @@ target, per path vertex the first cheapest way to each of its states,
 and per block that is not heavy the cheapest of EN, EP and EI.  The
 rounds then run top down with gathers only.  The heavy child's state in
 each way makes a map on the four states, and :func:`_paths` carries the
-top's state down these maps, run over the reversed path; the folds are
-undone level by level from their recorded pairs.
-All sums saturate at ``INFEASIBLE``.
+top's state down these maps by the same scan, run over the reversed
+path; the folds are undone down their offset trees from the recorded
+pairs.  All sums saturate at ``INFEASIBLE``.
 """
 
 from __future__ import annotations
@@ -138,6 +138,7 @@ _SHIFT = 2 * np.arange(4, dtype=np.uint8)[:, None]
 # ----------------------------------------------------------------- min-plus
 
 _CHUNK = 2048       # columns per call of a kernel below: in cache, small temporaries
+_PIECE = 16         # ops of a path piece, the steps of one scan in _paths
 
 
 def _chunked(f, *args):
@@ -168,29 +169,6 @@ def _heads(x):
     return out
 
 
-def _levels(seg):
-    """Pair neighbours within the segments of ``seg`` (runs of equal
-    values), level by level, until every segment is down to one element.
-    Returns per level the elements alone in their segment (done there),
-    the kept elements of the other segments (even offsets), the kept ones
-    that have a right partner, their indices (the left partners), and the
-    segment of each element; and the segments left at the top."""
-    levels = []
-    while True:
-        edge = np.ones(seg.shape[0] + 1, dtype=bool)    # a segment starts or ends here
-        np.not_equal(seg[1:], seg[:-1], out=edge[1:-1])
-        head, last = edge[:-1], edge[1:]
-        if last.all():
-            return levels, seg
-        alone = head & last
-        pos = np.arange(seg.shape[0])
-        off = pos - np.maximum.accumulate(np.where(head, pos, 0))
-        keep = (~alone & (off % 2 == 0)).nonzero()[0]
-        paired = ~last[keep]
-        levels.append((alone.nonzero()[0], keep, paired, keep[paired], seg))
-        seg = seg[keep]
-
-
 def _product(a, b, best, m):
     """Columnwise product of (4, N) weight arrays in the monoid ``m``.
     Also writes to ``best`` (4, N) the first cheapest pair for each entry,
@@ -214,37 +192,44 @@ def _product(a, b, best, m):
 
 def _fold(x, seg, nseg, m):
     """Fold the columns of ``x`` (4, N) within segments ``seg`` (sorted,
-    in [0, nseg)) in the monoid ``m``.  Returns the (4, nseg) totals,
-    ``m.one`` for empty segments, and what :func:`_unfold` needs: per
-    level the segments, the kept and the left elements and, for each left
-    one and each target, its first cheapest pair (uint8); and the
-    segments at the top."""
-    levels, top = _levels(seg)
-    out = np.repeat(m.one[:, None], nseg, axis=1)
-    picks = []
-    for done, keep, paired, left, seg in levels:
-        out[:, seg[done]] = x[:, done]
-        y = x[:, keep]
+    in [0, nseg)) in the monoid ``m``: at level l, the element at offset
+    o = 0 (mod 2^(l+1)) of its segment absorbs the one at o + 2^l, so the
+    total ends at offset 0.  Returns the (4, nseg) totals, ``m.one`` for
+    empty segments, and what :func:`_unfold` needs: per level the left
+    elements, the distance to their right partners and, for each left one
+    and each target, its first cheapest pair (uint8); and ``seg``."""
+    size = np.bincount(seg, minlength=nseg)
+    start = size.cumsum() - size
+    left = np.arange(seg.shape[0])
+    off = left - start[seg]
+    rest = size[seg] - off                      # elements from here to the segment's end
+    levels = []
+    while True:
+        s = 1 << len(levels)
+        pick = (((off & s) == 0) & (rest > s)).nonzero()[0]
+        left, off, rest = left.take(pick), off.take(pick), rest.take(pick)
+        if not left.size:
+            break
+        if not levels:
+            x = x.copy()
         best = np.empty((4, left.shape[0]), dtype=np.uint8)
-        y[:, paired] = _chunked(_product, x[:, left], x[:, left + 1], best, m)
-        picks.append((seg, keep, left, best))
-        x = y
-    out[:, top] = x
-    return out, (picks, top)
+        x[:, left] = _chunked(_product, x.take(left, axis=1), x.take(left + s, axis=1), best, m)
+        levels.append((left, s, best))
+    out = m.one[:, None].repeat(nseg, axis=1)
+    full = size.nonzero()[0]
+    out[:, full] = x.take(start[full], axis=1)
+    return out, (levels, seg)
 
 
 def _unfold(folded, target, m):
     """Per-column choices of a fold, given the chosen entry of each
     segment's total."""
-    picks, top = folded
-    t = target[top]
-    for seg, keep, left, best in reversed(picks):
-        down = target[seg]              # right for the elements done at this level
-        down[keep] = t
-        pick = best[down[left], np.arange(left.shape[0])]
-        down[left] = m.x[pick]
-        down[left + 1] = m.y[pick]
-        t = down
+    levels, seg = folded
+    t = target[seg]
+    for left, s, best in reversed(levels):
+        pick = best[t[left], np.arange(left.shape[0])]
+        t[left + s] = m.y[pick]
+        t[left] = m.x[pick]
     return t
 
 
@@ -253,33 +238,51 @@ def _paths(take, compose, apply, seg, end):
     within a path, and x beyond a path's last op is ``end[..., seg]``.
     ``take(idx)`` gives the ops at columns ``idx``, ``compose(a, b)`` the
     op a(b(.)) and ``apply(a, x)`` the value a(x); ops and values are
-    arrays over their last axis.  The pairs of each level are composed
-    upward until one op is left per path, and the levels are undone
-    downward: that op is applied to the path's end, and a right
-    partner's op to the value of the next kept element of its path, or
-    to the path's end."""
-    levels, top = _levels(seg)
-    takes = []
-    for done, keep, paired, left, _ in levels:
-        takes.append(take)
-        pairs = _chunked(lambda i: compose(take(i), take(i + 1)), left)
-        ops = np.empty(pairs.shape[:-1] + keep.shape, dtype=pairs.dtype)
-        ops[..., paired] = pairs
-        ops[..., ~paired] = take(keep[~paired])
-        take = lambda i, ops=ops: ops[..., i]
-    x = _chunked(lambda i, e: apply(take(i), e), np.arange(top.shape[0]), end[..., top])
-    for (done, keep, paired, left, seg), take in zip(reversed(levels), reversed(takes)):
-        kseg = seg[keep]
-        below = end[..., kseg]
-        nxt = (kseg[1:] == kseg[:-1]).nonzero()[0]
-        below[..., nxt] = x[..., nxt + 1]
-        down = np.empty(end.shape[:-1] + seg.shape, dtype=end.dtype)
-        down[..., keep] = x
-        at = np.concatenate((done, left + 1))       # ops done here, and right partners
-        arg = np.concatenate((end[..., seg[done]], below[..., paired]), axis=-1)
-        down[..., at] = _chunked(lambda i, e: apply(take(i), e), at, arg)
-        x = down
-    return x
+    arrays over their last axis.
+
+    Each path is cut from its bottom into pieces of ``_PIECE`` ops, the
+    top piece taking the rest, and the columns are laid out height by
+    height: the lower pieces path by path, each top down, then the top
+    pieces, largest first, so that each step reads one slice.  The lower
+    pieces are composed, and their composites give by recursion the value
+    below each piece; then each step applies the ops of one height."""
+    n = seg.shape[0]
+    head = _heads(seg)
+    first = head.nonzero()[0]
+    path = head.cumsum() - 1
+    size = np.bincount(path)
+    end = end[..., seg[first]]
+    npath = first.shape[0]
+    lower = (size - 1) // _PIECE                # full pieces below each path's top piece
+    top = size - _PIECE * lower
+    nlow = int(lower.sum())
+    bottom = lower.cumsum() - 1                 # rank of each path's lowest piece below its top
+    order = (-top).argsort(kind="stable")       # the top pieces, largest first
+    rank = np.empty(npath, dtype=np.int64)
+    rank[order] = np.arange(nlow, nlow + npath)
+    count = nlow + npath - np.bincount(top, minlength=_PIECE).cumsum()[:min(size.max(), _PIECE)]
+    at = count.cumsum() - count                 # where each height starts
+    piece, height = np.divmod((first + size - 1)[path] - np.arange(n), _PIECE)
+    col = np.where(piece < lower[path], bottom[path] - piece, rank[path]) + at[height]
+    perm = np.empty(n, dtype=np.int64)
+    perm[col] = np.arange(n)
+    # the value below each piece: a lower piece's top (< nlow) or a path's end
+    below = np.where(lower > 0, bottom - lower + 1, nlow + np.arange(npath))[order]
+    below = np.concatenate((np.arange(1, nlow + 1), below))
+    below[bottom[lower > 0]] = nlow + lower.nonzero()[0]
+    if nlow:
+        comp = take(perm[:nlow])
+        for lo in at[1:]:
+            comp = _chunked(lambda i, c: compose(take(i), c), perm[lo:lo + nlow], comp)
+        tops = _paths(lambda i: comp.take(i, axis=-1), compose, apply,
+                      np.arange(npath).repeat(lower), end)
+        end = np.concatenate((tops, end), axis=-1)
+    x = end.take(below, axis=-1)
+    out = np.empty(end.shape[:-1] + (n,), dtype=end.dtype)
+    for lo, c in zip(at, count):
+        x = out[..., lo:lo + c] = _chunked(lambda i, e: apply(take(i), e), perm[lo:lo + c],
+                                           x[..., :c])
+    return out.take(col, axis=-1)
 
 
 def _matmul(a, b):
@@ -293,21 +296,17 @@ def _matmul(a, b):
 
 
 def _matvec(a, x):
-    a = a.reshape(4, 4, -1)
-    out = a[:, 0] + x[0]
-    for k in range(1, 4):
-        np.minimum(out, a[:, k] + x[k], out=out)
-    return _sat(out)
+    return _sat((a.reshape(4, 4, -1) + x).min(axis=1))
 
 
 def _step_matrix(hp, g, w):
     """Matrix from a path vertex's heavy child's weights to its own,
     given the H of its other blocks, the F of its heavy block's other
     children and its own weight."""
-    sums = np.empty((17, w.shape[0]), dtype=np.int64)
+    sums = np.empty((17, g.shape[1]), dtype=np.int64)
     np.add(hp[:, None], g[None], out=sums[:16].reshape(4, 4, -1))
     sums[16] = INF
-    rows = np.empty((len(_FEEDS), w.shape[0]), dtype=np.int64)
+    rows = np.empty((len(_FEEDS), g.shape[1]), dtype=np.int64)
     for row, (first, *rest) in zip(rows, _FEEDS):
         row[...] = sums[first]
         for f in rest:
@@ -321,11 +320,15 @@ def _chain(hp, g, w, seg, tail):
     """Weights along heavy paths: x_j = M_j x_(j+1) within each path, M_j
     the step matrix of column j, and x below a path's last matrix
     ``tail[:, seg]``.  The matrices are built once if they fit in one
-    chunk, and otherwise as they are needed, a chunk at a time."""
+    chunk, and otherwise as they are needed, from the inputs of each
+    column side by side, so that a step gathers one row per column."""
     if seg.shape[0] <= _CHUNK:
         mats = _step_matrix(hp, g, w)
-        return _paths(lambda i: mats[:, i], _matmul, _matvec, seg, tail)
-    return _paths(lambda i: _step_matrix(hp[:, i], g[:, i], w[i]), _matmul, _matvec, seg, tail)
+        return _paths(lambda i: mats.take(i, axis=1), _matmul, _matvec, seg, tail)
+    cols = np.empty((seg.shape[0], 9), dtype=np.int64)     # C order, or take copies it
+    np.concatenate((hp.T, g.T, w[:, None]), axis=1, out=cols)
+    return _paths(lambda i: _step_matrix(*np.split(cols.take(i, axis=0).T, (4, 8))),
+                  _matmul, _matvec, seg, tail)
 
 
 def _compose_maps(f, g):
@@ -456,7 +459,7 @@ class TreePlan:
         l0, l1 = self.light_bounds[r], self.light_bounds[r + 1]
         heavy = self.heavy[lo:hi]
         is_heavy = self.is_heavy[b0:b1]
-        return SimpleNamespace(verts=self.verts[lo:hi], seg=np.cumsum(self.new_path[lo:hi]) - 1,
+        return SimpleNamespace(verts=self.verts[lo:hi], seg=self.new_path[lo:hi].cumsum() - 1,
                                heavy=heavy, mid=(heavy >= 0).nonzero()[0],
                                owner=self.attach_pos[b0:b1] - lo,
                                heavy_block=is_heavy.nonzero()[0], other=(~is_heavy).nonzero()[0],
@@ -468,16 +471,13 @@ class TreePlan:
         back: the first cheapest pairs of both folds, each path vertex's
         first cheapest way to each state, and which of EN, EP and EI is
         cheapest for each block that is not heavy."""
-        val = np.empty((4, weights.shape[0]), dtype=np.int64)
-        val[Q] = INF
-        val[R] = 0
-        val[P] = INF
-        val[D] = weights
+        val = np.array([[INF], [0], [INF], [0]]).repeat(weights.shape[0], axis=1)
+        val[D] = weights                            # Q, R and P as at a leaf
         choices = [None] * self.rounds
         for r in reversed(range(self.rounds)):
             rd = self.round(r)
-            f, f_fold = _fold(val[:, rd.light], rd.light_seg, rd.owner.shape[0], F)
-            fo = f[:, rd.other]
+            f, f_fold = _fold(val.take(rd.light, axis=1), rd.light_seg, rd.owner.shape[0], F)
+            fo = f.take(rd.other, axis=1)
             he = fo[:3].argmin(axis=0).astype(np.uint8)    # the entry each brings to HE
             out = fo[[EN, OI, EI, EN]]                  # the H that each block brings
             np.minimum(out[HE], np.minimum(fo[EP], fo[EI]), out=out[HE])
@@ -489,11 +489,11 @@ class TreePlan:
             val[:, vb] = _sat(quad)
             way = None
             if rd.mid.size:
-                heavy, vm = rd.heavy, rd.verts[rd.mid]
-                hp, g, seg = hp[:, rd.mid], f[:, rd.heavy_block], rd.seg[rd.mid]
+                heavy, vm, seg = rd.heavy, rd.verts[rd.mid], rd.seg[rd.mid]
+                hp, g = hp.take(rd.mid, axis=1), f.take(rd.heavy_block, axis=1)
                 rd = f = fo = out = None        # free what the chain does not need
                 val[:, vm] = _chain(hp, g, weights[vm], seg, val[:, vb])
-                way = _chunked(_choices, hp, g, val[:, heavy[heavy >= 0]])
+                way = _chunked(_choices, hp, g, val.take(heavy[heavy >= 0], axis=1))
             choices[r] = (f_fold, h_fold, way, he)
         return val, choices
 

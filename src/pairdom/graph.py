@@ -282,6 +282,18 @@ def has_perfect_matching(g: WeightedGraph, s) -> bool:
     return True
 
 
+def _int_ids(x):
+    """``x`` as an int64 array, or None if it is ragged or holds a float
+    or an int past 64 bits.  A uint64 past int64 wraps to a negative id,
+    which no graph has."""
+    x = x.members if isinstance(x, VertexSet) else x
+    try:
+        a = np.asarray(x if isinstance(x, (list, tuple, np.ndarray)) else list(x))
+    except ValueError:
+        return None
+    return a.astype(np.int64, copy=False) if a.dtype.kind in "iu" or not a.size else None
+
+
 def is_paired_dominating_set(g: WeightedGraph, s, pairs=None) -> bool:
     """Dominating set whose induced subgraph has a perfect matching.
 
@@ -293,16 +305,18 @@ def is_paired_dominating_set(g: WeightedGraph, s, pairs=None) -> bool:
     ``pairs``, a (k, 2) array or sequence of id pairs such as the one
     ``solve(g, pairs=True)`` returns, the pairs are the certificate: every
     member of ``s`` lies in exactly one pair, no other vertex lies in any,
-    and every pair is an edge.  Pairs of another shape are refused.  This
-    check runs on any graph, in O(n + m), and uses no block decomposition.
+    and every pair is an edge.  Pairs of another shape, and ids that are
+    not integers, are refused.  This check runs on any graph, in O(n + m),
+    and uses no block decomposition.
     """
     if pairs is not None:
-        ids = np.fromiter(s, dtype=np.int64)
-        p = np.asarray(pairs, dtype=np.int64)
+        ids, p = _int_ids(s), _int_ids(pairs)
+        if ids is None or p is None:
+            return False
         if p.size == 0:
             p = p.reshape(0, 2)
         n = g.n
-        if p.ndim != 2 or p.shape[1] != 2 \
+        if ids.ndim != 1 or p.ndim != 2 or p.shape[1] != 2 \
                 or ((ids < 0) | (ids >= n)).any() or ((p < 0) | (p >= n)).any():
             return False
         member = np.zeros(n, dtype=bool)

@@ -289,12 +289,25 @@ def _with_chunk(chunk, f, *args):
         arraydp._CHUNK = saved
 
 
-@pytest.mark.parametrize("g", [chain_of_triangles(40), random_block_graph(300, 6, 50, seed=15),
-                               random_block_graph(300, 2, 50, seed=16)],
-                         ids=lambda g: f"n{g.n}")
+SMALL_GRAPHS = pytest.mark.parametrize(
+    "g", [chain_of_triangles(40), random_block_graph(300, 6, 50, seed=15),
+          random_block_graph(300, 2, 50, seed=16)], ids=lambda g: f"n{g.n}")
+
+
+@SMALL_GRAPHS
 def test_chunking_changes_nothing(g):
     """Splitting the kernels' columns into chunks of 3 gives the same set."""
     assert _with_chunk(3, solve, g) == solve(g)
+
+
+@SMALL_GRAPHS
+@pytest.mark.parametrize("piece", [2, 3])
+def test_piece_size_changes_nothing(g, piece, monkeypatch):
+    """Cutting the heavy paths into pieces of 2 or 3 vertices, so that
+    the scan recurses several times, gives the same set."""
+    want = solve(g)
+    monkeypatch.setattr(arraydp, "_PIECE", piece)
+    assert solve(g) == want
 
 
 # sha256 of the sets solve returns at every root, one line of members per
@@ -411,33 +424,69 @@ def test_map_scan_matches_sequential_composition(data):
             start += n
 
 
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+       piece=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_piece_scan_matches_sequential_loops(lengths, piece, seed):
+    """With pieces of 2 or 3 ops, paths of up to 40 vertices recurse two
+    or more times: the chain of step matrices and the pass over state
+    maps, as the sweep and the reconstruction run them, against applying
+    the ops one at a time; in chunks of 3 columns too."""
+    rng = np.random.default_rng(seed)
+    k = sum(lengths)
+
+    def weights(*shape):
+        return np.where(rng.random(shape) < 0.2, INF, rng.integers(0, 30, shape))
+
+    hp, g, tail, w = weights(4, k), weights(4, k), weights(4, len(lengths)), rng.integers(0, 30, k)
+    codes = rng.integers(0, 256, k).astype(np.uint8)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    starts = rng.integers(0, 4, len(lengths))
+    m = arraydp._step_matrix(hp, g, w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arraydp, "_PIECE", piece)
+        for chunk in (arraydp._CHUNK, 3):
+            got = _with_chunk(chunk, arraydp._chain, hp, g, w, seg, tail)
+            states = _with_chunk(chunk, arraydp._paths, lambda i: codes[::-1][i],
+                                 arraydp._compose_maps, arraydp._apply_maps, seg[::-1], starts)
+            states = states[::-1]
+            start = 0
+            for s, n in enumerate(lengths):
+                x = tail[:, s].tolist()
+                for j in reversed(range(start, start + n)):
+                    x = [min(min(int(m[4 * i + y, j]) + x[y] for y in range(4)), INF)
+                         for i in range(4)]
+                    assert got[:, j].tolist() == x
+                state = starts[s]
+                for j in range(start, start + n):
+                    state = (codes[j] >> (2 * state)) & 3
+                    assert states[j] == state
+                start += n
+
+
 def _reference_unfold(x, seg, target, m):
     """Fold and unfold as they ran before the sweep recorded its choices:
-    keep each level's columns, and top down evaluate every pair again for
-    its target, the first cheapest pair winning.  Over the same levels as
-    :func:`arraydp._fold`."""
-    z = np.repeat(np.arange(4), [len(zp) for zp in m.pairs])
-    start = np.r_[0, np.cumsum([len(zp) for zp in m.pairs])[:-1]]
-    levels, top = arraydp._levels(seg)
-    xs = []
-    for done, keep, paired, left, _ in levels:
-        xs.append(x)
-        y = x[:, keep]
-        cost = x[:, left][m.x] + x[:, left + 1][m.y]
-        y[:, paired] = np.minimum(np.minimum.reduceat(cost, start, axis=0), INF)
-        x = y
-    t = target[top]
-    for (done, keep, paired, left, seg), x in zip(reversed(levels), reversed(xs)):
-        down = np.empty(x.shape[1], dtype=np.intp)
-        down[done] = target[seg[done]]
-        down[keep] = t
-        cost = x[:, left][m.x] + x[:, left + 1][m.y]
-        cost[z[:, None] != t[paired]] = np.iinfo(np.int64).max
-        pick = cost.argmin(axis=0)
-        down[left] = m.x[pick]
-        down[left + 1] = m.y[pick]
-        t = down
-    return t
+    pair each segment's kept columns (0, 1), (2, 3), ... level by level,
+    keeping the left of each pair, and top down evaluate every pair again
+    for its target, the first cheapest (unsaturated) sum winning."""
+    cols = x.T.tolist()
+    got = [None] * len(cols)
+    for s in dict.fromkeys(seg.tolist()):
+        kept = [j for j, t in enumerate(seg.tolist()) if t == s]
+        val = {j: cols[j] for j in kept}
+        levels = []
+        while len(kept) > 1:
+            pairs = list(zip(kept[::2], kept[1::2]))
+            levels.append((pairs, dict(val)))
+            for a, b in pairs:
+                val[a] = _convolve(val[a], val[b], m.pairs)
+            kept = kept[::2]
+        got[kept[0]] = int(target[s])
+        for pairs, before in reversed(levels):
+            for a, b in pairs:
+                got[a], got[b] = min(m.pairs[got[a]],
+                                     key=lambda xy: before[a][xy[0]] + before[b][xy[1]])
+    return np.array(got, dtype=np.intp)
 
 
 @settings(max_examples=80, deadline=None)

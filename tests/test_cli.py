@@ -15,8 +15,10 @@ import pairdom
 from pairdom import (ParseError, build_graph, chain_of_triangles, find_blocks,
                      format_instance, is_block_graph, parse_instance, random_block_graph)
 from pairdom import _linewise, instance_io
+from pairdom.arraydp import TreePlan
 from pairdom.cli import main
 from pairdom.graph import search_order
+from pairdom.rooted import root_blocks
 
 from conftest import golden_graph
 from tarjan import check_witness
@@ -309,6 +311,21 @@ def test_certificate_check_peak_memory(g):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2 * g.m + 16 * g.n, peak
+
+
+@PEAK_GRAPHS
+def test_sweep_peak_memory(g):
+    """The sweep holds the (4, n) weights, its recorded choices and one
+    round's arrays: at most 220 bytes a vertex.  The step matrices of a
+    long heavy path, built all at once as (16, N) int64, go over it."""
+    plan = TreePlan(root_blocks(g, 0))
+    tracemalloc.start()
+    try:
+        plan.sweep(g.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 220 * g.n + 2 ** 16, peak
 
 
 # ---------------------------------------------------------------------- solve

@@ -428,6 +428,17 @@ def test_certificate_check_refuses_pairs_not_of_two():
     assert not is_paired_dominating_set(g, range(6), np.arange(6).reshape(1, 3, 2))
 
 
+def test_certificate_check_refuses_ids_not_integers():
+    """A float id is not truncated, a ragged pairing raises nothing and an
+    id past int64 no overflow: each certificate is refused."""
+    g = path_graph(3)
+    assert is_paired_dominating_set(g, [0, 1], [[0, 1]])
+    assert not is_paired_dominating_set(g, [0, 1], np.array([[0.9, 1.2]]))
+    assert not is_paired_dominating_set(g, [0.5, 1], [[0, 1]])
+    assert not is_paired_dominating_set(g, [0, 1], [[0, 1], [2]])
+    assert not is_paired_dominating_set(g, [0, 2 ** 64], [[0, 2 ** 64]])
+
+
 def test_certificate_check_needs_no_decomposition(monkeypatch):
     g = random_block_graph(300, 5, 50, seed=4)
     vset, _, pairs = solve(g, pairs=True)
