@@ -35,12 +35,14 @@ largest subtree), and the paths are handled in rounds, deepest light
 depth first, so a path's light children are done before it.  The folds
 of a round multiply over a tree on the offsets within each segment
 (:func:`_fold`).  Along a path, x_j = M_j x_(j+1) with M_j a 4x4
-min-plus step matrix.  :func:`_paths` cuts the paths from their bottoms
-into pieces of ``_PIECE`` vertices and scans them height by height, one
-numpy step per height for all pieces; the lower pieces of a long path
-are composed first, and their tops scanned the same way.  A vertex
-lies below at most log2(n) light edges, so there are O(log n) rounds of
-O(log n) scans, and O(n) work in all.
+min-plus step matrix.  :func:`_paths` scans paths of at most ``_PIECE``
+vertices height by height, one numpy step per height for all of them;
+a longer path is first cut from its bottom into pieces of ``_PIECE``,
+and its lower pieces are composed and their tops found the same way.
+Below ``_NARROW`` columns, where numpy calls cost more than arithmetic,
+a product or a step matrix takes all its terms in one gather, not one
+at a time.  A vertex lies below at most log2(n) light edges, so there
+are O(log n) rounds of O(log n) scans, and O(n) work in all.
 
 Reconstruction reads back what the sweep chose.  Each choice takes the
 first minimum in a fixed order: the pair order of the folds, and along a
@@ -83,14 +85,15 @@ HE, HO, HI, HN = 0, 1, 2, 3
 class _Monoid:
     """A min-plus product over a four-element monoid: out[z] is the least
     a[x] + b[y] over the pairs (x, y) listed for z, ties going to the
-    first listed.  ``one`` is its identity; ``x`` and ``y`` hold the
-    pairs in order, so that a pair's index gives its two factors."""
+    first listed.  ``one`` is its identity; ``x`` and ``y`` (4, k) hold
+    the pairs of each z in order, padded to k with its first pair, so
+    that pair j of z has factors x[z, j] and y[z, j]."""
 
     def __init__(self, pairs, one):
         self.pairs = pairs
         self.one = np.array(one, dtype=np.int64)
-        self.x = np.array([x for zp in pairs for x, _ in zp])
-        self.y = np.array([y for zp in pairs for _, y in zp])
+        k = max(map(len, pairs))
+        self.x, self.y = np.array([zp + zp[:1] * (k - len(zp)) for zp in pairs]).transpose(2, 0, 1)
 
 
 F = _Monoid((((EN, EN),),
@@ -114,7 +117,7 @@ def _path_combos():
     y of each way, sorted stably by (s, y) so that the first cheapest way
     breaks ties, and where the ways of each s start; and for the step
     matrix, the distinct sets of sums 4 a + g (16 standing for INF) that
-    feed a row, with the set of each row 4 s + y."""
+    feed a row, padded with their firsts, and the set of each row 4 s + y."""
     out = []
     for s in range(4):
         for a, b in H.pairs[STATE_H[s]]:
@@ -127,7 +130,9 @@ def _path_combos():
     feeds = [tuple(sorted(set((4 * a + g)[4 * s + y == c].tolist()))) or (16,)
              for c in range(16)]
     unique = list(dict.fromkeys(feeds))
-    return (a, g, y.astype(np.uint8), np.searchsorted(s, np.arange(5)), unique,
+    k = max(map(len, unique))
+    return (a, g, y.astype(np.uint8), np.searchsorted(s, np.arange(5)).tolist(),
+            np.array([f + f[:1] * (k - len(f)) for f in unique]),
             np.array([unique.index(f) for f in feeds]))
 
 
@@ -139,6 +144,7 @@ _SHIFT = 2 * np.arange(4, dtype=np.uint8)[:, None]
 
 _CHUNK = 2048       # columns per call of a kernel below: in cache, small temporaries
 _PIECE = 16         # ops of a path piece, the steps of one scan in _paths
+_NARROW = 128       # columns below which a product takes all its terms at once
 
 
 def _chunked(f, *args):
@@ -172,48 +178,50 @@ def _heads(x):
 def _product(a, b, best, m):
     """Columnwise product of (4, N) weight arrays in the monoid ``m``.
     Also writes to ``best`` (4, N) the first cheapest pair for each entry,
-    as the pair's index in ``m``."""
+    as its index among the pairs of its target (``argmin`` takes the
+    first)."""
+    if a.shape[1] < _NARROW:
+        cost = a.take(m.x, axis=0) + b.take(m.y, axis=0)       # (4, k, N)
+        best[...] = cost.argmin(axis=1)
+        return _sat(cost.min(axis=1))
     out = np.empty(a.shape, dtype=np.int64)
     cost = np.empty(a.shape[1], dtype=np.int64)
     less = np.empty(a.shape[1], dtype=bool)
-    i = 0
     for total, pick, ((x, y), *rest) in zip(out, best, m.pairs):
         np.add(a[x], b[y], out=total)
-        pick.fill(i)
-        for x, y in rest:
-            i += 1
+        pick.fill(0)
+        for j, (x, y) in enumerate(rest, 1):
             np.add(a[x], b[y], out=cost)
             np.less(cost, total, out=less)
             np.minimum(total, cost, out=total)
-            np.putmask(pick, less, i)
-        i += 1
+            np.putmask(pick, less, j)
     return _sat(out)
 
 
 def _fold(x, seg, nseg, m):
     """Fold the columns of ``x`` (4, N) within segments ``seg`` (sorted,
     in [0, nseg)) in the monoid ``m``: at level l, the element at offset
-    o = 0 (mod 2^(l+1)) of its segment absorbs the one at o + 2^l, so the
-    total ends at offset 0.  Returns the (4, nseg) totals, ``m.one`` for
-    empty segments, and what :func:`_unfold` needs: per level the left
+    o = 0 (mod 2^(l+1)) of its segment absorbs the one at o + 2^l, those
+    whose offset has 2^l as its lowest set bit, so the total ends at
+    offset 0.  Returns the (4, nseg) totals, ``m.one`` for empty
+    segments, and what :func:`_unfold` needs: per level the left
     elements, the distance to their right partners and, for each left one
     and each target, its first cheapest pair (uint8); and ``seg``."""
     size = np.bincount(seg, minlength=nseg)
     start = size.cumsum() - size
-    left = np.arange(seg.shape[0])
-    off = left - start[seg]
-    rest = size[seg] - off                      # elements from here to the segment's end
+    off = np.arange(seg.shape[0]) - start[seg]
+    low = off & -off                            # 2^l for the one absorbed at level l
     levels = []
     while True:
         s = 1 << len(levels)
-        pick = (((off & s) == 0) & (rest > s)).nonzero()[0]
-        left, off, rest = left.take(pick), off.take(pick), rest.take(pick)
-        if not left.size:
+        right = (low == s).nonzero()[0]
+        if not right.size:
             break
         if not levels:
             x = x.copy()
+        left = right - s
         best = np.empty((4, left.shape[0]), dtype=np.uint8)
-        x[:, left] = _chunked(_product, x.take(left, axis=1), x.take(left + s, axis=1), best, m)
+        x[:, left] = _chunked(_product, x.take(left, axis=1), x.take(right, axis=1), best, m)
         levels.append((left, s, best))
     out = m.one[:, None].repeat(nseg, axis=1)
     full = size.nonzero()[0]
@@ -227,9 +235,10 @@ def _unfold(folded, target, m):
     levels, seg = folded
     t = target[seg]
     for left, s, best in reversed(levels):
-        pick = best[t[left], np.arange(left.shape[0])]
-        t[left + s] = m.y[pick]
-        t[left] = m.x[pick]
+        z = t[left]
+        pick = best[z, np.arange(left.shape[0])] + m.x.shape[1] * z     # in the flat pairs
+        t[left + s] = m.y.take(pick)
+        t[left] = m.x.take(pick)
     return t
 
 
@@ -240,48 +249,46 @@ def _paths(take, compose, apply, seg, end):
     op a(b(.)) and ``apply(a, x)`` the value a(x); ops and values are
     arrays over their last axis.
 
-    Each path is cut from its bottom into pieces of ``_PIECE`` ops, the
-    top piece taking the rest, and the columns are laid out height by
-    height: the lower pieces path by path, each top down, then the top
-    pieces, largest first, so that each step reads one slice.  The lower
-    pieces are composed, and their composites give by recursion the value
-    below each piece; then each step applies the ops of one height."""
+    Paths of at most ``_PIECE`` ops are scanned from their bottoms, height
+    by height: the columns are laid out by height and within it by path,
+    largest first, so that each step applies the ops of one slice.  A
+    longer path is first cut from its bottom into pieces of ``_PIECE``
+    ops, the top piece taking the rest; the lower pieces' composites give
+    by recursion the value below each piece, and the pieces are scanned."""
     n = seg.shape[0]
     head = _heads(seg)
     first = head.nonzero()[0]
     path = head.cumsum() - 1
     size = np.bincount(path)
+    height = (first + size - 1)[path] - np.arange(n)       # ops below each in its path
     end = end[..., seg[first]]
-    npath = first.shape[0]
-    lower = (size - 1) // _PIECE                # full pieces below each path's top piece
-    top = size - _PIECE * lower
-    nlow = int(lower.sum())
-    bottom = lower.cumsum() - 1                 # rank of each path's lowest piece below its top
-    order = (-top).argsort(kind="stable")       # the top pieces, largest first
-    rank = np.empty(npath, dtype=np.int64)
-    rank[order] = np.arange(nlow, nlow + npath)
-    count = nlow + npath - np.bincount(top, minlength=_PIECE).cumsum()[:min(size.max(), _PIECE)]
-    at = count.cumsum() - count                 # where each height starts
-    piece, height = np.divmod((first + size - 1)[path] - np.arange(n), _PIECE)
-    col = np.where(piece < lower[path], bottom[path] - piece, rank[path]) + at[height]
+    if size.max() > _PIECE:
+        height %= _PIECE
+        low = np.flatnonzero(height == _PIECE - 1)
+        low = low[~head[low]]                           # the lower pieces' tops
+        comp = take(low + _PIECE - 1)
+        for h in range(_PIECE - 2, -1, -1):
+            comp = _chunked(lambda i, c: compose(take(i), c), low + h, comp)
+        tops = _paths(lambda i: comp.take(i, axis=-1), compose, apply, path[low], end)
+        head[low] = True                                # now the pieces' tops
+        end = end.take(path[head], axis=-1)
+        path = head.cumsum() - 1
+        end[..., path[low] - 1] = tops                  # below the piece above each
+    order = (-height[head]).argsort(kind="stable")      # the paths, tallest first
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    count = np.bincount(height)                         # the paths reaching each height
+    at = count.cumsum() - count
+    col = at[height] + rank[path]
     perm = np.empty(n, dtype=np.int64)
     perm[col] = np.arange(n)
-    # the value below each piece: a lower piece's top (< nlow) or a path's end
-    below = np.where(lower > 0, bottom - lower + 1, nlow + np.arange(npath))[order]
-    below = np.concatenate((np.arange(1, nlow + 1), below))
-    below[bottom[lower > 0]] = nlow + lower.nonzero()[0]
-    if nlow:
-        comp = take(perm[:nlow])
-        for lo in at[1:]:
-            comp = _chunked(lambda i, c: compose(take(i), c), perm[lo:lo + nlow], comp)
-        tops = _paths(lambda i: comp.take(i, axis=-1), compose, apply,
-                      np.arange(npath).repeat(lower), end)
-        end = np.concatenate((tops, end), axis=-1)
-    x = end.take(below, axis=-1)
+    x = end.take(order, axis=-1)
     out = np.empty(end.shape[:-1] + (n,), dtype=end.dtype)
-    for lo, c in zip(at, count):
-        x = out[..., lo:lo + c] = _chunked(lambda i, e: apply(take(i), e), perm[lo:lo + c],
-                                           x[..., :c])
+    ops = take(perm) if n <= _CHUNK else None          # then each step applies a slice
+    for lo, c in zip(at.tolist(), count.tolist()):
+        e = x[..., :c]
+        x = out[..., lo:lo + c] = (apply(ops[..., lo:lo + c], e) if ops is not None else
+                                   _chunked(lambda i, e: apply(take(i), e), perm[lo:lo + c], e))
     return out.take(col, axis=-1)
 
 
@@ -306,11 +313,14 @@ def _step_matrix(hp, g, w):
     sums = np.empty((17, g.shape[1]), dtype=np.int64)
     np.add(hp[:, None], g[None], out=sums[:16].reshape(4, 4, -1))
     sums[16] = INF
-    rows = np.empty((len(_FEEDS), g.shape[1]), dtype=np.int64)
-    for row, (first, *rest) in zip(rows, _FEEDS):
-        row[...] = sums[first]
-        for f in rest:
-            np.minimum(row, sums[f], out=row)
+    if g.shape[1] < _NARROW:
+        rows = sums.take(_FEEDS, axis=0).min(axis=1)
+    else:
+        rows = np.empty((len(_FEEDS), g.shape[1]), dtype=np.int64)
+        for row, (first, *rest) in zip(rows, map(dict.fromkeys, _FEEDS.tolist())):
+            row[...] = sums[first]
+            for f in rest:
+                np.minimum(row, sums[f], out=row)
     out = rows[_FEED_ROW]
     out[8:] += w
     return _sat(out)
@@ -346,9 +356,9 @@ def _choices(hp, g, x):
     it, given the H of its other blocks, the F of its heavy block's light
     children and its heavy child's weights ``x``."""
     out = np.empty((4, x.shape[1]), dtype=np.uint8)
-    for s, (lo, hi) in enumerate(zip(_WAYS_OF[:-1], _WAYS_OF[1:])):
-        cost = hp[_WA[lo:hi]] + g[_WG[lo:hi]]
-        cost += x[_WY[lo:hi]]
+    for s, (lo, hi) in enumerate(zip(_WAYS_OF, _WAYS_OF[1:])):
+        cost = hp.take(_WA[lo:hi], axis=0) + g.take(_WG[lo:hi], axis=0)
+        cost += x.take(_WY[lo:hi], axis=0)
         out[s] = lo + cost.argmin(axis=0)
     return out
 

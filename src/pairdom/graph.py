@@ -234,8 +234,10 @@ def is_connected(g: WeightedGraph) -> bool:
 
 def is_dominating_set(g: WeightedGraph, s) -> bool:
     """Every vertex not in ``s`` has a neighbor in ``s``; ids outside the
-    graph are ignored."""
-    ids = np.asarray(s, dtype=np.int64) if isinstance(s, np.ndarray) else np.fromiter(s, np.int64)
+    graph are ignored, and ids that are not integers refused."""
+    ids = _int_ids(s)
+    if ids is None:
+        return False
     member = np.zeros(g.n, dtype=bool)
     member[ids[(ids >= 0) & (ids < g.n)]] = True
     dominated = member.copy()
@@ -245,7 +247,8 @@ def is_dominating_set(g: WeightedGraph, s) -> bool:
 
 def has_perfect_matching(g: WeightedGraph, s) -> bool:
     """True iff the subgraph that ``s`` induces in the connected block
-    graph ``g`` has a perfect matching; False if an id is outside 0..n-1.
+    graph ``g`` has a perfect matching; False if an id is outside 0..n-1
+    or not an integer.
 
     Leaf-first greedy over the blocks of :func:`root_blocks`, deepest
     first: a block's children in ``s`` not yet matched below it can only
@@ -255,7 +258,10 @@ def has_perfect_matching(g: WeightedGraph, s) -> bool:
     empty set is vacuously matched; for another even set, a graph that
     is not a connected block graph raises Disconnected or NotBlockGraph.
     """
-    members = set(int(v) for v in s)
+    ids = _int_ids(s)
+    if ids is None:
+        return False
+    members = set(ids.tolist())
     if not members:
         return True
     if len(members) % 2 or min(members) < 0 or max(members) >= g.n:
@@ -298,7 +304,8 @@ def is_paired_dominating_set(g: WeightedGraph, s, pairs=None) -> bool:
     """Dominating set whose induced subgraph has a perfect matching.
 
     The empty set never paired-dominates a nonempty graph; for n=0 the
-    empty set qualifies.  A set with an id outside 0..n-1 does not.
+    empty set qualifies.  A set with an id outside 0..n-1, or an id that
+    is not an integer, does not.
 
     Without ``pairs`` the matching is searched for by
     :func:`has_perfect_matching`, on connected block graphs only.  Given
@@ -329,7 +336,10 @@ def is_paired_dominating_set(g: WeightedGraph, s, pairs=None) -> bool:
         mate[p[:, 1]] = p[:, 0]
         mated = np.count_nonzero(np.repeat(mate, np.diff(g.adj_indptr)) == g.adj_indices)
         return mated == 2 * p.shape[0] and is_dominating_set(g, ids)
-    members = set(int(v) for v in s)
+    ids = _int_ids(s)
+    if ids is None:
+        return False
+    members = set(ids.tolist())
     if g.n == 0:
         return not members
     if not members:

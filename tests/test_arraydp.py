@@ -345,8 +345,44 @@ def _convolve(a, b, pairs):
 
 
 @settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([arraydp.F, arraydp.H]), seed=st.integers(0, 2 ** 32 - 1),
+       width=st.sampled_from([1, 2, 5, arraydp._NARROW - 1, arraydp._NARROW,
+                              arraydp._NARROW + 1, 300]))
+def test_product_matches_pairs_one_at_a_time(m, seed, width):
+    """The product at widths on both sides of ``_NARROW``, and with each
+    of its two forms forced: each entry's value, and its first cheapest
+    pair by the unsaturated sums, against taking the pairs one at a time.
+    The entries are drawn from 0..3 and INF, so ties are common."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.choice(np.array([0, 1, 2, 3, INF]), size=(2, 4, width))
+    want = [_convolve(a[:, j], b[:, j], m.pairs) for j in range(width)]
+    first = [[min(range(len(zp)), key=lambda i: a[zp[i][0], j] + b[zp[i][1], j])
+              for zp in m.pairs] for j in range(width)]
+    for narrow in (arraydp._NARROW, 0, width + 1):
+        best = np.empty((4, width), dtype=np.uint8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arraydp, "_NARROW", narrow)
+            got = arraydp._product(a, b, best, m)
+        assert got.T.tolist() == want
+        assert best.T.tolist() == first
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fold_matches_sequential_product(data):
+    _check_fold(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fold_with_the_cut_at_0_matches_sequential_product(data):
+    """Every product takes its pairs one at a time, however narrow."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arraydp, "_NARROW", 0)
+        _check_fold(data)
+
+
+def _check_fold(data):
     sizes = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=6))
     m = data.draw(st.sampled_from([arraydp.F, arraydp.H]))
     pairs, one = m.pairs, m.one
@@ -380,7 +416,8 @@ def test_fold_matches_sequential_product(data):
 def test_chain_matches_sequential_products(data):
     """The path evaluator on step matrices, with each path's end below
     it, against multiplying the matrices in one at a time.  With chunks
-    of 3 columns, the first level's matrices are built as needed."""
+    of 3 columns, the first level's matrices are built as needed.  The
+    matrices built in one gather equal those built a row at a time."""
     lengths = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=4)) + [1, 2]
     k = sum(lengths)
     small = st.one_of(st.integers(0, 30), st.just(INF))
@@ -390,6 +427,9 @@ def test_chain_matches_sequential_products(data):
     tail = np.array([[data.draw(small) for _ in lengths] for _ in range(4)], dtype=np.int64)
     seg = np.repeat(np.arange(len(lengths)), lengths)
     m = arraydp._step_matrix(hp, g, w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arraydp, "_NARROW", 0)
+        assert arraydp._step_matrix(hp, g, w).tolist() == m.tolist()
     for chunk in (arraydp._CHUNK, 3):
         got = _with_chunk(chunk, arraydp._chain, hp, g, w, seg, tail)
         start = 0

@@ -603,13 +603,18 @@ def test_bench_scaling_writes_json(tmp_path):
     assert record["rows"][1]["n"] == 2 * 1024 + 1
 
 
+def _script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_blocks_family_is_a_block_graph():
     """The script's vectorised generator makes a block graph with the
     blocks asked for, each of 2 to 4 vertices."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_scaling", Path(__file__).resolve().parents[1] / "scripts" / "bench_scaling.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _script("bench_scaling")
     for blocks, seed in [(1, 0), (2, 3), (500, 1)]:
         g = bench.random_blocks(blocks, seed)
         assert is_block_graph(g)
@@ -618,6 +623,26 @@ def test_bench_blocks_family_is_a_block_graph():
         sizes = [len(bct.block_vertices(b)) for b in range(blocks)]
         assert min(sizes) >= 2 and max(sizes) <= 4
         assert 1 <= g.weights.min() and g.weights.max() <= 100
+
+
+def test_ab_perfbench_claim_rule():
+    """A gain is claimed when the change wins 9 of 10 pairs and its
+    median beats the parent's by more than the parent's quartile
+    distance: 8 wins are too few, and so is a gap inside that distance."""
+    summary = _script("ab_perfbench").summary
+    parent = [10.0, 10.2, 10.4, 10.1, 10.3, 9.9, 10.0, 10.2, 10.1, 10.3]
+    nine = [p - 2 for p in parent[:9]] + [parent[9] + 0.5]
+    got = summary(parent, nine, "lower")
+    assert (got["wins"], got["losses"], got["claim"]) == (9, 1, True)
+    eight = [p - 2 for p in parent[:8]] + [parent[8], parent[9] + 0.5]
+    got = summary(parent, eight, "lower")
+    assert (got["wins"], got["losses"], got["claim"]) == (8, 1, False)
+    close = [p - 0.05 for p in parent]
+    got = summary(parent, close, "lower")
+    assert got["wins"] == 10 and got["parent"][1] - got["change"][1] < got["spread"]
+    assert not got["claim"]
+    assert summary(parent, [p + 2 for p in parent], "higher")["claim"]
+    assert not summary(parent, [p + 2 for p in parent], "lower")["claim"]
 
 
 @pytest.mark.parametrize("args", [["bench_scaling.py", "--repeat", "0"],

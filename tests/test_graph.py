@@ -439,6 +439,19 @@ def test_certificate_check_refuses_ids_not_integers():
     assert not is_paired_dominating_set(g, [0, 2 ** 64], [[0, 2 ** 64]])
 
 
+def test_id_checks_refuse_ids_not_integers():
+    """Without a certificate too, a float id is not truncated and an id
+    past int64 raises no overflow: the set is refused."""
+    g = path_graph(3)
+    assert is_dominating_set(g, [0, 1]) and has_perfect_matching(g, [0, 1])
+    assert not is_dominating_set(g, [0.5, 1])
+    assert not has_perfect_matching(g, [0.5, 1.7])
+    assert not is_paired_dominating_set(g, [0.5, 1])
+    assert not is_paired_dominating_set(g, [0, 2 ** 64])
+    assert not is_dominating_set(g, [0, 1, 2 ** 64])
+    assert is_dominating_set(g, np.array([1])) and is_dominating_set(g, (1,))
+
+
 def test_certificate_check_needs_no_decomposition(monkeypatch):
     g = random_block_graph(300, 5, 50, seed=4)
     vset, _, pairs = solve(g, pairs=True)
