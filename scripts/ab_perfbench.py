@@ -25,8 +25,11 @@ parent's, and last whether the claim rule holds:
   parent's quartiles.
 
 It also marks a metric whose change median is worse than the parent's by
-more than the metric's bound.  A run that exits nonzero, or reports a
-failed op, stops the script.
+more than the metric's bound, and marks it UNRESOLVED when the parent's
+quartile distance is wider than that bound, as a share of the parent's
+median, unless every change run beats every parent run: runs that spread
+so widely can show neither a regression nor its absence.  A run that
+exits nonzero, or reports a failed op, stops the script.
 
 Usage, from the repository root:
   python3 scripts/ab_perfbench.py --parent HEAD~1 --change . \\
@@ -93,18 +96,22 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def summary(parent: list, change: list, better: str) -> dict:
+def summary(parent: list, change: list, better: str, bound: float) -> dict:
     """Compare paired runs of one metric, ``better`` being "lower" or
     "higher".  The claim holds when the change wins at least nine tenths
     of the pairs and its median is better than the parent's by more than
-    the parent's quartile distance."""
+    the parent's quartile distance.  The metric is unresolved when that
+    distance is wider than ``bound`` times the parent's median, unless
+    every change run beats every parent run."""
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
     gain = sign * (pq[1] - cq[1])
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
     return {"parent": pq, "change": cq, "pairs": len(parent), "wins": wins,
             "losses": losses, "spread": pq[2] - pq[0],
+            "unresolved": pq[2] - pq[0] > bound * abs(pq[1]) and not beats_all,
             "ratio": cq[1] / pq[1] if pq[1] else None,
             "claim": 10 * wins >= 9 * len(parent) and gain > pq[2] - pq[0]}
 
@@ -151,7 +158,7 @@ def main() -> int:
             name = spec["name"]
             parent = [r[name] for r in sides_runs["parent"]]
             change = [r[name] for r in sides_runs["change"]]
-            s = summary(parent, change, spec["better"])
+            s = summary(parent, change, spec["better"], spec["bound"])
             worse = s["ratio"] is not None and (
                 s["ratio"] - 1 > spec["bound"] if spec["better"] == "lower"
                 else 1 - s["ratio"] > spec["bound"])
@@ -161,7 +168,8 @@ def main() -> int:
                   f"ratio {s['ratio'] or float('nan'):.4f}, change won {s['wins']}, "
                   f"parent won {s['losses']}, "
                   f"claim {'met' if s['claim'] else 'not met'}"
-                  f"{' WORSE THAN BOUND' if worse else ''}")
+                  f"{' WORSE THAN BOUND' if worse else ''}"
+                  f"{' UNRESOLVED' if s['unresolved'] else ''}")
     return 0
 
 

@@ -64,7 +64,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .rooted import RootedBlocks
+from .rooted import RootedBlocks, _heads
 from .weights import INFEASIBLE as INF
 
 
@@ -165,14 +165,6 @@ def _chunked(f, *args):
 
 def _sat(x):
     return np.minimum(x, INF, out=x)
-
-
-def _heads(x):
-    """Where each run of equal values in ``x`` starts."""
-    out = np.empty(x.shape[0], dtype=bool)
-    out[:1] = True
-    np.not_equal(x[1:], x[:-1], out=out[1:])
-    return out
 
 
 def _product(a, b, best, m):
@@ -391,14 +383,15 @@ class TreePlan:
         index[inner] = np.arange(k)
         up = index[rb.parent[inner[1:]]]            # nondecreasing: search order
         par = up.tolist()
-        desc = np.add.reduceat(np.diff(rb.block_ptr), first.nonzero()[0]).tolist()   # children
+        desc = np.add.reduceat(rb.block_ptr[1:] - rb.block_ptr[:-1],
+                               first.nonzero()[0]).tolist()          # children
         for i, p in zip(range(k - 1, 0, -1), reversed(par)):
             desc[p] += desc[i]
         desc = np.array(desc, dtype=np.int64)
         heavy = np.full(k, -1, dtype=np.int64)      # child with the most descendants
         if k > 1:
             first = _heads(up).nonzero()[0]
-            group = np.repeat(np.arange(first.shape[0]), np.diff(np.append(first, k - 1)))
+            group = np.cumsum(_heads(up)) - 1
             most = np.maximum.reduceat(desc[1:], first)
             pick = np.flatnonzero(desc[1:] == most[group])
             pick = pick[_heads(group[pick])]
@@ -444,7 +437,8 @@ class TreePlan:
         self.block_bounds = np.searchsorted(self.attach_pos, self.bounds)
         self.light_bounds = np.searchsorted(self.light_seg, self.block_bounds)
         # each light child's block, counted from the first block of its round
-        self.light_seg -= np.repeat(self.block_bounds[:-1], np.diff(self.light_bounds))
+        self.light_seg -= np.repeat(self.block_bounds[:-1],
+                                    self.light_bounds[1:] - self.light_bounds[:-1])
 
     @property
     def rounds(self) -> int:

@@ -72,18 +72,18 @@ def find_blocks(g: WeightedGraph) -> BlockCutTree:
 
 def is_block_graph(g: WeightedGraph) -> bool:
     """True iff ``g`` is connected and every block induces a clique."""
+    if g.n <= 1:
+        return g.n == 1
     try:
-        find_blocks(g)
+        root_blocks(g, 0)
     except (Disconnected, NotBlockGraph):
         return False
     return True
 
 
 def first_non_clique_block(bct: BlockCutTree) -> None:
-    """Always None: :func:`find_blocks` builds no tree for a graph with a
-    block that is not a clique, and raises NotBlockGraph with a witness
-    instead.  Kept, outside the package's API, as the name the benchmark's
-    per-layer tracer wraps."""
+    """Always None (:func:`find_blocks` raises NotBlockGraph instead); kept,
+    outside the package's API, as a name the benchmark's tracer wraps."""
     return None
 
 

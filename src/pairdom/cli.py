@@ -112,7 +112,7 @@ def _cmd_decompose(args) -> int:
         vs = " ".join(str(int(v) + 1) for v in sorted(bct.block_vertices(b)))
         print(f"block {b + 1}: {vs}")
     print("cuts: " + " ".join(str(c + 1) for c in bct.cut_vertices))
-    print("order: " + " ".join(str(b + 1) for b in bct.elimination_order.tolist()))
+    print("order: " + " ".join(str(b + 1) for b in range(bct.num_blocks)))   # deepest first
     return 0
 
 

@@ -43,7 +43,8 @@ class WeightedGraph:
         """int64[m, 2]: each edge once as a row u < v, the rows sorted.
         A view of a (2, m) array, so each column is contiguous."""
         # each arc's source, in the smallest dtype: fewer fresh pages to fault in
-        src = np.repeat(np.arange(self.n, dtype=np.min_scalar_type(self.n)), np.diff(self.adj_indptr))
+        src = np.repeat(np.arange(self.n, dtype=np.min_scalar_type(self.n)),
+                        self.adj_indptr[1:] - self.adj_indptr[:-1])
         up = np.flatnonzero(src < self.adj_indices)
         out = np.empty((2, up.shape[0]), dtype=np.int64)
         out[0] = src[up]
@@ -55,7 +56,7 @@ class WeightedGraph:
 
     def weight_of(self, vertices: Iterable[int]) -> int:
         # build_graph keeps the total below 2^59, so the int64 sum cannot wrap
-        return int(self.weights[np.fromiter(vertices, np.int64)].sum())
+        return int(self.weights[_vertex_ids(self, vertices)].sum())
 
     def edge_list(self) -> list:
         return [(int(u), int(v)) for u, v in self.edges]
@@ -70,8 +71,8 @@ class VertexSet:
 
     @classmethod
     def from_iterable(cls, g: WeightedGraph, vertices: Iterable[int]) -> "VertexSet":
-        members = tuple(sorted(set(int(v) for v in vertices)))
-        return cls(members, g.weight_of(members))
+        ids = np.unique(_vertex_ids(g, vertices))
+        return cls(tuple(ids.tolist()), int(g.weights[ids].sum()))
 
     def __len__(self):
         return len(self.members)
@@ -241,51 +242,46 @@ def is_dominating_set(g: WeightedGraph, s) -> bool:
     member = np.zeros(g.n, dtype=bool)
     member[ids[(ids >= 0) & (ids < g.n)]] = True
     dominated = member.copy()
-    dominated[g.adj_indices[np.repeat(member, np.diff(g.adj_indptr))]] = True
+    dominated[g.adj_indices[np.repeat(member, g.adj_indptr[1:] - g.adj_indptr[:-1])]] = True
     return bool(dominated.all())
 
 
 def has_perfect_matching(g: WeightedGraph, s) -> bool:
     """True iff the subgraph that ``s`` induces in the connected block
-    graph ``g`` has a perfect matching; False if an id is outside 0..n-1
-    or not an integer.
-
-    Leaf-first greedy over the blocks of :func:`root_blocks`, deepest
-    first: a block's children in ``s`` not yet matched below it can only
-    pair inside the block, so when they are odd in number one of them
-    takes the block's attachment, which must be in ``s`` and still free.
-    With ``|s|`` even this leaves nothing free, the root included.  The
-    empty set is vacuously matched; for another even set, a graph that
-    is not a connected block graph raises Disconnected or NotBlockGraph.
-    """
+    graph ``g`` has a perfect matching, found by :func:`_leaf_first_pairs`;
+    False if an id is outside 0..n-1 or not an integer."""
     ids = _int_ids(s)
-    if ids is None:
-        return False
-    members = set(ids.tolist())
-    if not members:
-        return True
-    if len(members) % 2 or min(members) < 0 or max(members) >= g.n:
-        return False
-    from .rooted import root_blocks     # rooted imports this module
+    return ids is not None and _leaf_first_pairs(g, ids) is not None
+
+
+def _leaf_first_pairs(g: WeightedGraph, ids: np.ndarray):
+    """Leaf-first greedy over the blocks of :func:`root_blocks`, deepest
+    first: a block's children in the set not yet matched below it pair
+    inside the block (:func:`pair_off`); when they are odd in number, one
+    takes the block's attachment, which must be in the set and free.
+    Returns the matching or None; a nonempty even set raises Disconnected
+    or NotBlockGraph unless ``g`` is a connected block graph."""
+    if not ids.size:
+        return np.empty((0, 2), dtype=np.int64)
+    if ids.min() < 0 or ids.max() >= g.n:
+        return None
+    free = bytearray(g.n)                           # the loop's flags, which up views
+    up = np.frombuffer(free, dtype=bool)
+    up[ids] = True
+    if np.count_nonzero(up) % 2:
+        return None
+    from .rooted import pair_off, root_blocks     # rooted imports this module
     rb = root_blocks(g, 0)
-    free = [False] * g.n
-    for v in members:
-        free[v] = True
-    ptr = rb.block_ptr.tolist()
-    kids = rb.kids.tolist()
-    attach = rb.attach.tolist()
+    odd = (np.add.reduceat(up[rb.kids], rb.block_ptr[:-1], dtype=np.int64) % 2).tolist()
+    block_of, attach = rb.block_of.tolist(), rb.attach.tolist()
     for b in range(rb.num_blocks - 1, -1, -1):
-        odd = False
-        for v in kids[ptr[b]:ptr[b + 1]]:
-            if free[v]:
-                free[v] = False
-                odd = not odd
-        if odd:
+        if odd[b]:
             a = attach[b]
             if not free[a]:
-                return False
+                return None
             free[a] = False
-    return True
+            odd[block_of[a]] ^= 1   # a leaves its block; the root's -1 is a block done
+    return pair_off(rb, up)         # the children left free pair inside their blocks
 
 
 def _int_ids(x):
@@ -300,6 +296,14 @@ def _int_ids(x):
     return a.astype(np.int64, copy=False) if a.dtype.kind in "iu" or not a.size else None
 
 
+def _vertex_ids(g: WeightedGraph, x) -> np.ndarray:
+    """``x`` as int64 ids; ValueError unless each is an integer in 0..n-1."""
+    ids = _int_ids(x)
+    if ids is None or ids.ndim != 1 or ((ids < 0) | (ids >= g.n)).any():
+        raise ValueError(f"vertex ids must be integers in 0..{g.n - 1}")
+    return ids
+
+
 def is_paired_dominating_set(g: WeightedGraph, s, pairs=None) -> bool:
     """Dominating set whose induced subgraph has a perfect matching.
 
@@ -307,41 +311,34 @@ def is_paired_dominating_set(g: WeightedGraph, s, pairs=None) -> bool:
     empty set qualifies.  A set with an id outside 0..n-1, or an id that
     is not an integer, does not.
 
-    Without ``pairs`` the matching is searched for by
-    :func:`has_perfect_matching`, on connected block graphs only.  Given
-    ``pairs``, a (k, 2) array or sequence of id pairs such as the one
-    ``solve(g, pairs=True)`` returns, the pairs are the certificate: every
-    member of ``s`` lies in exactly one pair, no other vertex lies in any,
-    and every pair is an edge.  Pairs of another shape, and ids that are
-    not integers, are refused.  This check runs on any graph, in O(n + m),
-    and uses no block decomposition.
-    """
-    if pairs is not None:
-        ids, p = _int_ids(s), _int_ids(pairs)
-        if ids is None or p is None:
-            return False
-        if p.size == 0:
-            p = p.reshape(0, 2)
-        n = g.n
-        if ids.ndim != 1 or p.ndim != 2 or p.shape[1] != 2 \
-                or ((ids < 0) | (ids >= n)).any() or ((p < 0) | (p >= n)).any():
-            return False
-        member = np.zeros(n, dtype=bool)
-        member[ids] = True
-        if not np.array_equal(np.bincount(p.ravel(), minlength=n), member):
-            return False
-        # now each member has one mate, and each edge is two arcs of the CSR
-        mate = np.full(n, -1, dtype=np.int64)
-        mate[p[:, 0]] = p[:, 1]
-        mate[p[:, 1]] = p[:, 0]
-        mated = np.count_nonzero(np.repeat(mate, np.diff(g.adj_indptr)) == g.adj_indices)
-        return mated == 2 * p.shape[0] and is_dominating_set(g, ids)
+    It decides by one check of the certificate ``pairs``, (k, 2) ids such
+    as ``solve(g, pairs=True)`` returns: each member of ``s`` in exactly
+    one pair, no other vertex in any, each pair an edge, ``s`` dominating
+    ``g``.  Pairs of another shape are refused.  It runs on any graph in
+    O(n + m) and decomposes nothing.  Without ``pairs``, a dominating
+    ``s`` brings the matching of :func:`has_perfect_matching`, which
+    takes a connected block graph."""
     ids = _int_ids(s)
-    if ids is None:
+    if pairs is None and ids is not None and is_dominating_set(g, ids):
+        pairs = _leaf_first_pairs(g, ids)
+    if pairs is None:           # none given, and none found for a dominating s
         return False
-    members = set(ids.tolist())
-    if g.n == 0:
-        return not members
-    if not members:
+    p = _int_ids(pairs)
+    if ids is None or p is None:
         return False
-    return is_dominating_set(g, members) and has_perfect_matching(g, members)
+    if p.size == 0:
+        p = p.reshape(0, 2)
+    n = g.n
+    if ids.ndim != 1 or p.ndim != 2 or p.shape[1] != 2 \
+            or ((ids < 0) | (ids >= n)).any() or ((p < 0) | (p >= n)).any():
+        return False
+    member = np.zeros(n, dtype=bool)
+    member[ids] = True
+    if not np.array_equal(np.bincount(p.ravel(), minlength=n), member):
+        return False
+    # now each member has one mate, and each edge is two arcs of the CSR
+    mate = np.full(n, -1, dtype=np.int64)
+    mate[p[:, 0]] = p[:, 1]
+    mate[p[:, 1]] = p[:, 0]
+    mated = np.repeat(mate, g.adj_indptr[1:] - g.adj_indptr[:-1]) == g.adj_indices
+    return int(np.count_nonzero(mated)) == 2 * p.shape[0] and is_dominating_set(g, ids)

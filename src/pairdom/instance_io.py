@@ -77,7 +77,7 @@ def _parse_fast(data):
         if end.size % 3:
             return None
         end = end.reshape(-1, 3)
-        length = np.diff(end)       # of the numbers, plus 1
+        length = end[:, 1:] - end[:, :-1]       # of the numbers, plus 1
         kind, top = b[end[:, 0] - 1], int(length.max(initial=1)) - 1
         is_w = kind == ord("w")
         if ((b[end] != (32, 32, 10)).any() or (b[end[:, 0] - 2] != 10).any() or top > 18

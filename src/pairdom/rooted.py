@@ -80,13 +80,35 @@ def root_blocks(g: WeightedGraph, root: int) -> RootedBlocks:
     perm = np.argsort(key, kind="stable")
     kids = kids[perm]
     key = key[perm]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    head = _heads(key)
+    starts = np.flatnonzero(head)
     block_ptr = np.append(starts, n - 1)
     attach = parent[kids[starts]]
     block_of = np.full(n, -1, dtype=np.int64)
-    block_of[kids] = np.repeat(np.arange(starts.shape[0], dtype=np.int64), np.diff(block_ptr))
+    block_of[kids] = np.cumsum(head) - 1
     return RootedBlocks(order=order, parent=parent, kids=kids,
                         block_ptr=block_ptr, attach=attach, block_of=block_of)
+
+
+def _heads(x):
+    """Where each run of equal values in ``x`` starts."""
+    out = np.empty(x.shape[0], dtype=bool)
+    out[:1] = True
+    np.not_equal(x[1:], x[:-1], out=out[1:])
+    return out
+
+
+def pair_off(rb: RootedBlocks, up: np.ndarray) -> np.ndarray:
+    """The matching in which each vertex marked in the bool array ``up``
+    pairs inside its upper block: the marked children of each block pair
+    off in ``kids`` order, and an odd one out pairs with the block's
+    attachment.  One int64 row per pair."""
+    d = rb.kids[up[rb.kids]]
+    blk = rb.block_of[d]                                # nondecreasing
+    left = np.flatnonzero((np.arange(d.shape[0]) - np.searchsorted(blk, blk)) % 2 == 0)
+    right = np.minimum(left + 1, d.shape[0] - 1)
+    inside = (left + 1 < d.shape[0]) & (blk[right] == blk[left])
+    return np.column_stack((d[left], np.where(inside, d[right], rb.attach[blk[left]])))
 
 
 def _sibling_labels(g: WeightedGraph, rank, parent, kids) -> np.ndarray:

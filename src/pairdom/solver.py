@@ -28,7 +28,7 @@ import numpy as np
 from .arraydp import D, P, StateKind, TreePlan
 from .errors import InternalInconsistency, NoPairedDominatingSet
 from .graph import VertexSet, WeightedGraph
-from .rooted import RootedBlocks, root_blocks
+from .rooted import pair_off, root_blocks
 from .weights import INFEASIBLE
 
 
@@ -82,22 +82,9 @@ def solve(g: WeightedGraph, final_root: Optional[int] = None,
     if total != weight:
         raise InternalInconsistency(
             f"reconstructed weight {total} != stored weight {weight}")
-    certificate = (_pairs(rb, state),) if pairs else ()
+    certificate = (pair_off(rb, state == D),) if pairs else ()
     t3 = time.perf_counter()
     if stats is not None:
         stats.update(blocks=num_blocks, decompose_s=t1 - t0, plan_s=t_plan - t1,
                      sweep_s=t2 - t_plan, reconstruct_s=t3 - t2)
     return (VertexSet(tuple(members.tolist()), total), weight, *certificate)
-
-
-def _pairs(rb: RootedBlocks, state: np.ndarray) -> np.ndarray:
-    """The matching the states fix.  A child in state D is matched inside
-    its block, where its only partners are: the D-children of each block
-    pair off in ``kids`` order, and an odd one out pairs with the block's
-    attachment, which is then in state P (its one odd block)."""
-    d = rb.kids[state[rb.kids] == D]
-    blk = rb.block_of[d]                                # nondecreasing
-    left = np.flatnonzero((np.arange(d.shape[0]) - np.searchsorted(blk, blk)) % 2 == 0)
-    right = np.minimum(left + 1, d.shape[0] - 1)
-    inside = (left + 1 < d.shape[0]) & (blk[right] == blk[left])
-    return np.column_stack((d[left], np.where(inside, d[right], rb.attach[blk[left]])))

@@ -67,6 +67,7 @@ def test_is_block_graph(golden):
     # block graphs are connected
     assert not is_block_graph(build_graph(4, [1] * 4, [(0, 1), (2, 3)]))
     assert not is_block_graph(build_graph(0, [], []))
+    assert is_block_graph(build_graph(1, [1], []))
     # any tree is a block graph (every block is an edge)
     tree = build_graph(6, [1] * 6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
     assert is_block_graph(tree)

@@ -628,21 +628,34 @@ def test_bench_blocks_family_is_a_block_graph():
 def test_ab_perfbench_claim_rule():
     """A gain is claimed when the change wins 9 of 10 pairs and its
     median beats the parent's by more than the parent's quartile
-    distance: 8 wins are too few, and so is a gap inside that distance."""
+    distance: 8 wins are too few, and so is a gap inside that distance.
+    A metric is unresolved when that distance is wider than the bound, as
+    a share of the parent's median, unless every change run beats every
+    parent run."""
     summary = _script("ab_perfbench").summary
     parent = [10.0, 10.2, 10.4, 10.1, 10.3, 9.9, 10.0, 10.2, 10.1, 10.3]
     nine = [p - 2 for p in parent[:9]] + [parent[9] + 0.5]
-    got = summary(parent, nine, "lower")
+    got = summary(parent, nine, "lower", 0.25)
     assert (got["wins"], got["losses"], got["claim"]) == (9, 1, True)
     eight = [p - 2 for p in parent[:8]] + [parent[8], parent[9] + 0.5]
-    got = summary(parent, eight, "lower")
+    got = summary(parent, eight, "lower", 0.25)
     assert (got["wins"], got["losses"], got["claim"]) == (8, 1, False)
     close = [p - 0.05 for p in parent]
-    got = summary(parent, close, "lower")
+    got = summary(parent, close, "lower", 0.25)
     assert got["wins"] == 10 and got["parent"][1] - got["change"][1] < got["spread"]
     assert not got["claim"]
-    assert summary(parent, [p + 2 for p in parent], "higher")["claim"]
-    assert not summary(parent, [p + 2 for p in parent], "lower")["claim"]
+    assert summary(parent, [p + 2 for p in parent], "higher", 0.25)["claim"]
+    assert not summary(parent, [p + 2 for p in parent], "lower", 0.25)["claim"]
+
+    # the parent's quartiles are [10.0, 10.3]: 2.96% of its median 10.15
+    below = [p - 0.6 for p in parent]          # every run under the parent's 9.9
+    assert not summary(parent, below, "lower", 0.025)["unresolved"]
+    assert summary(parent, below, "higher", 0.025)["unresolved"]
+    assert summary(parent, close, "lower", 0.025)["unresolved"]
+    assert not summary(parent, close, "lower", 0.03)["unresolved"]
+    wide = [2.7, 4.5, 3.0, 2.8, 4.1, 3.6, 2.9, 4.4, 3.2, 3.9]             # spread 38%
+    assert summary(wide, [w + 0.2 for w in wide], "lower", 0.25)["unresolved"]
+    assert not summary(wide, [2.6] * 10, "lower", 0.25)["unresolved"]
 
 
 @pytest.mark.parametrize("args", [["bench_scaling.py", "--repeat", "0"],

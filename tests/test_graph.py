@@ -40,6 +40,18 @@ def test_build_k2():
     assert VertexSet.from_iterable(g, []) == VertexSet((), 0)
 
 
+def test_weight_of_refuses_ids_that_are_not_vertices():
+    """-1 is not the last vertex, and 0.5 is not vertex 0."""
+    g = build_graph(3, [1, 10, 100], [(0, 1), (1, 2)])
+    assert g.weight_of([0, 2]) == 101
+    for ids in ([-1], [0.5], [3], [[0, 1]]):
+        with pytest.raises(ValueError):
+            g.weight_of(ids)
+    with pytest.raises(ValueError):
+        VertexSet.from_iterable(g, [-1, 0.7])
+    assert VertexSet.from_iterable(g, (v for v in [2, 0, 2])) == VertexSet((0, 2), 101)
+
+
 def test_build_k3():
     g = build_graph(3, [1, 1, 1], [(0, 1), (1, 2), (0, 2)])
     assert (g.n, g.m, g.max_degree) == (3, 3, 2)
@@ -256,7 +268,7 @@ def test_has_perfect_matching_rejects_non_block_graph():
 
 def test_ids_outside_graph_are_not_matched():
     g = chain_of_triangles(2)                        # vertices 0..4
-    for s in ({0, 1, 2, 5}, {-1, 0}, {-1, 5}):
+    for s in ({0, 1, 2, 5}, {-1, 0}, {-1, 5}, {-1, 3}):     # -1 is not vertex 4
         assert not has_perfect_matching(g, s)
         assert not is_paired_dominating_set(g, s)
     assert is_paired_dominating_set(g, {1, 2})
@@ -465,3 +477,35 @@ def test_certificate_check_needs_no_decomposition(monkeypatch):
     assert not is_paired_dominating_set(g, vset, pairs[1:])
     with pytest.raises(AssertionError):
         is_paired_dominating_set(g, vset)         # the greedy decomposes
+
+
+def test_greedy_matching_on_every_subset_of_enumerated_block_graphs():
+    """The leaf-first greedy finds a matching exactly when the oracle's
+    search does, and what it finds pairs off exactly the subset along
+    edges, so the certificate check accepts it."""
+    for g in enumerate_block_graphs(6):
+        has_pm = _tables(g).has_pm
+        for r in range(g.n + 1):
+            for sub in itertools.combinations(range(g.n), r):
+                pairs = pairdom.graph._leaf_first_pairs(g, np.array(sub, dtype=np.int64))
+                assert (pairs is not None) == has_pm(sum(1 << v for v in sub))
+                if pairs is not None:
+                    assert sorted(pairs.ravel().tolist()) == list(sub)
+                    assert is_paired_dominating_set(g, sub, pairs) == is_dominating_set(g, sub)
+
+
+def test_check_without_pairs_decides_by_the_certificate(monkeypatch):
+    """Without pairs, the greedy's matching goes through the certificate
+    check: a pairing along edges is accepted even on C4, which the greedy
+    itself would refuse, and one across non-edges is refused.  Domination
+    is checked first, so a set that fails it needs no search."""
+    c6 = cycle_graph(6)
+    assert not is_paired_dominating_set(c6, {0, 1})
+    with pytest.raises(NotBlockGraph):
+        is_paired_dominating_set(c6, {0, 1, 3, 4})
+    c4 = cycle_graph(4)
+    for found, expect in [([(0, 1), (3, 2)], True), ([(0, 2), (1, 3)], False)]:
+        monkeypatch.setattr(pairdom.graph, "_leaf_first_pairs", lambda g, ids: found)
+        assert is_paired_dominating_set(c4, {0, 1, 2, 3}) is expect
+    monkeypatch.setattr(pairdom.graph, "_leaf_first_pairs", lambda g, ids: None)
+    assert not is_paired_dominating_set(c4, {0, 1, 2, 3})

@@ -218,7 +218,7 @@ def test_solve_builds_pairs_only_when_asked(monkeypatch):
     def refuse(*args):
         raise AssertionError("pairs built unasked")
 
-    monkeypatch.setattr(pairdom.solver, "_pairs", refuse)
+    monkeypatch.setattr(pairdom.solver, "pair_off", refuse)
     assert solve(g) == (vset, w)
 
 
